@@ -5,8 +5,10 @@
 //   (b) the epoch-length constant c1;
 //   (c) the final-epoch constant c2 (too short -> multiple leaders).
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/thread_pool.h"
 #include "src/experiment/sweep.h"
 #include "src/stats/table.h"
 #include "src/sync/runner.h"
@@ -34,8 +36,17 @@ PointResult run_with_config(ThreadPool& pool, const TrapdoorConfig& config,
   spec.max_rounds =
       16 * TrapdoorSchedule::standard(F, t, N, config).total_rounds() + 2048;
 
-  return aggregate_point(
-      point, run_sync_experiments_parallel(spec, make_seeds(seeds), pool));
+  // A custom TrapdoorConfig is not expressible as an ExperimentPoint, so
+  // this bench replicates the spec itself: one task per seed, aggregated
+  // in seed order exactly as the sweep would.
+  const std::vector<uint64_t> seed_list = make_seeds(seeds);
+  std::vector<RunOutcome> outcomes(seed_list.size());
+  parallel_for(pool, seed_list.size(), [&](size_t i) {
+    RunSpec seeded = spec;
+    seeded.sim.seed = seed_list[i];
+    outcomes[i] = run_sync_experiment(seeded);
+  });
+  return aggregate_point(point, outcomes);
 }
 
 void band_ablation(ThreadPool& pool) {

@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
 #include "src/scenario/registry.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/table.h"
 
 int main() {
@@ -26,7 +26,8 @@ int main() {
               static_cast<long long>(first.activation_window), runs);
   Table table({"t", "protocol", "synced runs", "median rounds",
                "multi-leader runs", "agreement violations"});
-  for (const PointResult& r : run_points_parallel(scenario.grid, runs)) {
+  ThreadPool pool;
+  for (const PointResult& r : run_scenario(scenario, runs, pool).points) {
     table.row()
         .cell(static_cast<int64_t>(r.point.t))
         .cell(std::string(to_string(r.point.protocol)))

@@ -23,9 +23,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
 #include "src/scenario/registry.h"
-#include "src/scenario/scenario.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/table.h"
 
 int main(int argc, char** argv) {
@@ -36,8 +35,9 @@ int main(int argc, char** argv) {
 
   const Scenario& sweep = ScenarioRegistry::get("drift_cadence_sweep");
   const int seeds = sweep.default_seeds;
-  const std::vector<PointResult> results =
-      run_points_parallel(sweep.grid, seeds);
+  ThreadPool pool;
+  ScenarioResult run = run_scenario(sweep, seeds, pool);
+  const std::vector<PointResult>& results = run.points;
 
   Table table({"ppm", "R", "runs", "synced", "maint rounds", "offset bound",
                "max offset", "offset viol", "resyncs"});
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
 
   // Gate 1: the scenario's own expectations (liveness + the R = 4 offset
   // bounds) on the catalog-owned points.
-  std::vector<std::string> failures = check_expectations(sweep, results);
+  std::vector<std::string>& failures = run.failures;
 
   // Gate 2: per ppm level, the tight cadence must out-correct the loose one.
   for (const int ppm : {10, 50, 200}) {

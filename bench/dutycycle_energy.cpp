@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
 #include "src/scenario/registry.h"
 #include "src/scenario/scenario.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/table.h"
 
 int main(int argc, char** argv) {
@@ -50,7 +50,14 @@ int main(int argc, char** argv) {
     }
   }
   const int seeds = scaling.default_seeds;
-  const std::vector<PointResult> results = run_points_parallel(grid, seeds);
+  ThreadPool pool;
+  const std::vector<PointResult> results =
+      run_scenario({.name = "dutycycle_energy_comparison",
+                    .summary = "duty/trapdoor pairs plus derived references",
+                    .rationale = "the duty-cycle dividend vs always-on",
+                    .grid = grid},
+                   seeds, pool)
+          .points;
 
   Table table({"protocol", "N", "runs", "synced", "p50 rounds", "awake p50",
                "awake max", "mean awake p50", "awake frac", "budget",

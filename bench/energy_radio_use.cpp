@@ -19,9 +19,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
 #include "src/scenario/registry.h"
-#include "src/scenario/scenario.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/table.h"
 
 int main(int argc, char** argv) {
@@ -31,8 +30,9 @@ int main(int argc, char** argv) {
       "(cf. Bradonjic-Kohler-Ostrovsky)");
   const Scenario& scenario = ScenarioRegistry::get("energy_vs_contention");
   const int seeds = scenario.default_seeds;
-  const std::vector<PointResult> results =
-      run_points_parallel(scenario.grid, seeds);
+  ThreadPool pool;
+  const ScenarioResult run = run_scenario(scenario, seeds, pool);
+  const std::vector<PointResult>& results = run.points;
 
   Table table({"t_actual", "runs", "p50 rounds", "awake p50", "awake max",
                "bcast share", "listen share", "budget", "violations"});
@@ -55,8 +55,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.markdown().c_str());
 
-  const std::vector<std::string> failures =
-      check_expectations(scenario, results);
+  const std::vector<std::string>& failures = run.failures;
   for (const std::string& failure : failures) {
     std::printf("EXPECTATION FAILED: %s\n", failure.c_str());
   }

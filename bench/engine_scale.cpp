@@ -38,6 +38,7 @@
 #include "src/radio/activation.h"
 #include "src/radio/engine.h"
 #include "src/stats/table.h"
+#include "src/telemetry/stopwatch.h"
 #include "src/telemetry/trace_writer.h"
 
 namespace wsync {
@@ -63,9 +64,9 @@ std::unique_ptr<Simulation> make_sim(int64_t N, EngineMode engine,
 
 /// Executes `rounds` rounds and returns the wall-clock rate.
 double timed_rounds_per_sec(Simulation& sim, RoundId rounds) {
-  const bench::Stopwatch watch;
+  const telemetry::Stopwatch watch;
   for (RoundId r = 0; r < rounds; ++r) sim.step();
-  const double elapsed = watch.seconds();
+  const double elapsed = watch.elapsed_seconds();
   return elapsed > 0 ? static_cast<double>(rounds) / elapsed : 0.0;
 }
 

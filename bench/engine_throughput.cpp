@@ -2,7 +2,7 @@
 // under each protocol, so the scaling experiments' costs are understood and
 // regressions in the hot path are visible.
 //
-// Self-timed on bench/bench_util.h's Stopwatch (adaptive iteration count:
+// Self-timed on the telemetry Stopwatch (adaptive iteration count:
 // each case runs batches until it has accumulated a stable wall-clock
 // sample), so the bench always builds — no external benchmark library.
 // Given an output path, writes BENCH_engine_throughput.json. Timing numbers
@@ -21,6 +21,7 @@
 #include "src/radio/engine.h"
 #include "src/samaritan/good_samaritan.h"
 #include "src/stats/table.h"
+#include "src/telemetry/stopwatch.h"
 #include "src/trapdoor/trapdoor.h"
 
 namespace wsync {
@@ -59,12 +60,12 @@ Measurement run_case(const std::string& name, int n, Body&& body) {
   m.name = name;
   m.n = n;
   body();  // warm-up: first-touch allocations stay out of the sample
-  bench::Stopwatch watch;
-  while (watch.seconds() < kMinSampleSeconds) {
+  const telemetry::Stopwatch watch;
+  while (watch.elapsed_seconds() < kMinSampleSeconds) {
     for (int i = 0; i < kBatch; ++i) body();
     m.iterations += kBatch;
   }
-  const double elapsed = watch.seconds();
+  const double elapsed = watch.elapsed_seconds();
   m.wall_ms = elapsed * 1e3;
   m.iters_per_sec =
       elapsed > 0 ? static_cast<double>(m.iterations) / elapsed : 0;

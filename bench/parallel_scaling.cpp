@@ -1,41 +1,33 @@
-// E15 — Parallel runner scaling: serial vs wsync_parallel wall-clock on the
-// Theorem 10 workload (Trapdoor, staggered activation, random-subset
-// jammer), replicated across seeds at 1/2/4/8 workers.
+// E15 — Grid runner scaling: run_scenario wall-clock on the Theorem 10
+// workload (Trapdoor, staggered activation, random-subset jammer),
+// replicated across seeds at 1/2/4/8 workers; the 1-worker run is the
+// serial reference.
 //
 // Besides the stdout table, writes BENCH_parallel_scaling.json (path
-// overridable via argv[1]) so CI can track the perf trajectory from PR to
-// PR. The bench also re-verifies the determinism contract: every parallel
-// outcome vector must be bit-identical to the serial one.
+// overridable via argv[1]) so CI can track the perf trajectory across
+// commits. The bench also re-verifies the determinism contract: every
+// timed result must be bit-identical (compared through encode_chunk_line,
+// so every double by bit pattern) to the serial reference.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/experiment/sweep.h"
+#include "src/service/checkpoint.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/table.h"
-#include "src/sync/runner.h"
 
 namespace wsync {
 namespace {
 
-bool identical(const std::vector<RunOutcome>& a,
-               const std::vector<RunOutcome>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].synced != b[i].synced || a[i].rounds != b[i].rounds ||
-        a[i].last_sync_round != b[i].last_sync_round ||
-        a[i].sync_latency != b[i].sync_latency ||
-        a[i].max_broadcast_weight != b[i].max_broadcast_weight ||
-        a[i].properties.agreement_violations !=
-            b[i].properties.agreement_violations ||
-        a[i].properties.synch_commit_violations !=
-            b[i].properties.synch_commit_violations ||
-        a[i].properties.correctness_violations !=
-            b[i].properties.correctness_violations ||
-        a[i].properties.max_simultaneous_leaders !=
-            b[i].properties.max_simultaneous_leaders ||
-        a[i].properties.rounds_observed != b[i].properties.rounds_observed ||
-        a[i].properties.resyncs_observed != b[i].properties.resyncs_observed) {
+bool identical(const Scenario& scenario, const ScenarioResult& a,
+               const ScenarioResult& b) {
+  if (a.points.size() != b.points.size() || a.failures != b.failures) {
+    return false;
+  }
+  for (size_t i = 0; i < a.points.size(); ++i) {
+    if (encode_chunk_line(scenario.name, i, a.points[i]) !=
+        encode_chunk_line(scenario.name, i, b.points[i])) {
       return false;
     }
   }
@@ -64,19 +56,22 @@ int main(int argc, char** argv) {
   const int seed_count = 32;
 
   bench::section(
-      "Parallel runner scaling — Theorem 10 workload, serial vs "
-      "wsync_parallel");
+      "Grid runner scaling — Theorem 10 workload, run_scenario at 1 (serial) "
+      "to 8 workers");
   std::printf("Trapdoor, F = %d, t = %d, N = %lld, n = %d, %d seeds; "
               "hardware concurrency = %d\n\n",
               point.F, point.t, static_cast<long long>(point.N), point.n,
               seed_count, ThreadPool::default_workers());
 
-  const RunSpec spec = make_run_spec(point);
-  const std::vector<uint64_t> seeds = make_seeds(seed_count);
-
-  std::vector<RunOutcome> serial;
-  const double serial_ms =
-      bench::time_ms([&] { serial = run_sync_experiments(spec, seeds); });
+  const Scenario scenario{.name = "parallel_scaling",
+                          .summary = "Theorem 10 workload at one point",
+                          .rationale = "runner scaling, worker-count identity",
+                          .grid = {point}};
+  // Pool construction is part of no timing.
+  ScenarioResult serial;
+  ThreadPool serial_pool(1);
+  const double serial_ms = bench::time_ms(
+      [&] { serial = run_scenario(scenario, seed_count, serial_pool); });
 
   struct Measurement {
     int workers;
@@ -85,11 +80,12 @@ int main(int argc, char** argv) {
   };
   std::vector<Measurement> measurements;
   for (const int workers : {1, 2, 4, 8}) {
-    ThreadPool pool(workers);  // pool construction is part of neither timing
-    std::vector<RunOutcome> outcomes;
+    ThreadPool pool(workers);
+    ScenarioResult result;
     const double ms = bench::time_ms(
-        [&] { outcomes = run_sync_experiments_parallel(spec, seeds, pool); });
-    measurements.push_back({workers, ms, identical(serial, outcomes)});
+        [&] { result = run_scenario(scenario, seed_count, pool); });
+    measurements.push_back(
+        {workers, ms, identical(scenario, serial, result)});
   }
 
   Table table({"runner", "workers", "wall ms", "speedup vs serial",
@@ -114,7 +110,7 @@ int main(int argc, char** argv) {
       "embarrassingly\nparallel (each owns its forked Rng streams), so the "
       "only losses are pool\noverhead and load imbalance on the slowest "
       "seed. The bit-identical column\nmust read 'yes' everywhere: "
-      "parallelism changes wall-clock, never results.");
+      "worker count changes wall-clock, never results.");
 
   std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (json == nullptr) {

@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
 #include "src/scenario/registry.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/regression.h"
 #include "src/stats/table.h"
 
@@ -67,8 +67,9 @@ int main() {
   const int seeds = scenario.default_seeds;
   // The whole grid runs as one parallel batch; results come back in point
   // order, so slicing by t just partitions consecutive runs.
+  ThreadPool pool;
   const std::vector<PointResult> results =
-      run_points_parallel(scenario.grid, seeds);
+      run_scenario(scenario, seeds, pool).points;
   size_t begin = 0;
   while (begin < scenario.grid.size()) {
     size_t end = begin;

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/regression.h"
 #include "src/stats/table.h"
 
@@ -34,7 +34,11 @@ void run_sweep(ThreadPool& pool, int F, int64_t N, int n, int seeds) {
   }
   std::vector<double> model;
   std::vector<double> measured;
-  for (const PointResult& result : run_points_parallel(points, seeds, pool)) {
+  const Scenario sweep{.name = "thm10_trapdoor_t_scaling",
+                       .summary = "Trapdoor rounds vs t at fixed F, N",
+                       .rationale = "Theorem 10: the Ft/(F-t) blow-up",
+                       .grid = points};
+  for (const PointResult& result : run_scenario(sweep, seeds, pool).points) {
     const int t = result.point.t;
     const double predicted = trapdoor_predicted_rounds(F, t, N);
     model.push_back(predicted);

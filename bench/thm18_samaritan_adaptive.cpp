@@ -14,8 +14,8 @@
 
 #include "bench/bench_util.h"
 #include "src/common/require.h"
-#include "src/experiment/parallel_sweep.h"
 #include "src/scenario/registry.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/table.h"
 
 int main() {
@@ -38,8 +38,9 @@ int main() {
                "GS t'-scaling t'lg^3N", "winner"});
   // The whole grid — a (GS, Trapdoor) pair per t' — runs as one parallel
   // batch; results come back in point order, so pairs stay adjacent.
+  ThreadPool pool;
   const std::vector<PointResult> results =
-      run_points_parallel(scenario.grid, seeds);
+      run_scenario(scenario, seeds, pool).points;
 
   std::vector<double> gs_medians;
   std::vector<int> t_primes;

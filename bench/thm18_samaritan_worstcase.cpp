@@ -5,14 +5,14 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
 #include "src/samaritan/schedule.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/table.h"
 
 namespace wsync {
 namespace {
 
-void run_case(int F, int t, int64_t N, int n, int seeds) {
+void run_case(ThreadPool& pool, int F, int t, int64_t N, int n, int seeds) {
   ExperimentPoint gs_point;
   gs_point.F = F;
   gs_point.t = t;
@@ -26,7 +26,12 @@ void run_case(int F, int t, int64_t N, int n, int seeds) {
   ExperimentPoint td_point = gs_point;
   td_point.protocol = ProtocolKind::kTrapdoor;
   const std::vector<PointResult> results =
-      run_points_parallel({gs_point, td_point}, seeds);
+      run_scenario({.name = "thm18_worstcase_pair",
+                    .summary = "GS vs Trapdoor under staggered wake",
+                    .rationale = "Theorem 18 worst case: the fallback ends",
+                    .grid = {gs_point, td_point}},
+                   seeds, pool)
+          .points;
   const PointResult& gs = results[0];
   const PointResult& td = results[1];
 
@@ -64,8 +69,9 @@ int main() {
       "jammer): terminates within the O(F log^3 N) budget");
   std::printf("staggered activation over 64 rounds, random-subset jammer "
               "at full budget t, 5 seeds per row\n\n");
-  run_case(8, 4, 32, 5, 5);
-  run_case(16, 8, 32, 5, 5);
+  ThreadPool pool;
+  run_case(pool, 8, 4, 32, 5, 5);
+  run_case(pool, 16, 8, 32, 5, 5);
   bench::note(
       "\nShape check: every staggered run still synchronizes (liveness), "
       "within the\nO(F log^3 N)-shaped budget; the GS slowdown column "

@@ -371,12 +371,6 @@ PointResult aggregate_point(const ExperimentPoint& point,
   return result;
 }
 
-PointResult run_point(const ExperimentPoint& point,
-                      const std::vector<uint64_t>& seeds) {
-  const RunSpec spec = make_run_spec(point);
-  return aggregate_point(point, run_sync_experiments(spec, seeds));
-}
-
 double trapdoor_predicted_rounds(int F, int t, int64_t N) {
   WSYNC_REQUIRE(F >= 1 && t >= 0 && t < F, "need 0 <= t < F");
   const double lg = std::max(1.0, std::log2(static_cast<double>(N)));

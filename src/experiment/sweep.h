@@ -74,14 +74,9 @@ struct PointResult {
   int64_t fast_forwarded_rounds = 0;
 };
 
-/// Folds per-seed outcomes into the point aggregate. Shared by the serial
-/// and parallel sweep paths so both produce identical PointResults.
+/// Folds per-seed outcomes (in seed order) into the point aggregate.
 PointResult aggregate_point(const ExperimentPoint& point,
                             const std::vector<RunOutcome>& outcomes);
-
-/// Runs the point once per seed and aggregates.
-PointResult run_point(const ExperimentPoint& point,
-                      const std::vector<uint64_t>& seeds);
 
 /// The paper's Theorem 10 prediction F/(F-t) lg^2 N + F t/(F-t) lg N
 /// (used by benches to compare curve shapes).

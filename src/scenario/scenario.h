@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "src/experiment/parallel_sweep.h"
+#include "src/experiment/sweep.h"
 
 namespace wsync {
 
@@ -56,30 +56,12 @@ struct Scenario {
 /// and point index on failure.
 void validate(const Scenario& scenario);
 
-/// Expectation check against measured results (separated from run_scenario
+/// Expectation check against measured results (separated from the sweep
 /// so tests can feed synthetic results). Hard-property violations are always
 /// failures; the expect_* flags gate the rest. Returns human-readable
 /// failure lines, empty when everything held.
 std::vector<std::string> check_expectations(
     const Scenario& scenario, const std::vector<PointResult>& results);
-
-struct ScenarioResult {
-  std::vector<PointResult> points;   ///< grid order, one per point
-  std::vector<std::string> failures; ///< unmet expectations
-  bool ok() const { return failures.empty(); }
-};
-
-/// Validates, runs every point on make_seeds(seeds) across `pool`, and
-/// checks expectations. `seeds <= 0` means the scenario's default_seeds.
-/// Results are bit-identical for any worker count (the PR 2 determinism
-/// contract extends to the catalog).
-ScenarioResult run_scenario(const Scenario& scenario, int seeds,
-                            ThreadPool& pool);
-
-/// Convenience overload owning a pool; `workers <= 0` means
-/// ThreadPool::default_workers().
-ScenarioResult run_scenario(const Scenario& scenario, int seeds = 0,
-                            int workers = 0);
 
 }  // namespace wsync
 

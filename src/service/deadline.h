@@ -1,13 +1,13 @@
 // The sanctioned wall-clock site for service I/O pacing.
 //
-// wsync_lint bans wall-clock reads everywhere except the bench stopwatch
-// (bench/bench_util.h) and this header, because a clock read that feeds a
-// result silently breaks every byte-identity wall in the repo. A Deadline
-// may only ever gate *whether the service keeps accepting work* (an
-// operational watchdog on wsync_serve, a poll timeout in a harness) —
-// never what any accepted job computes. Keep every steady_clock mention
-// inside this file; callers use the Deadline API, which wsync_lint treats
-// as ordinary code.
+// wsync_lint bans wall-clock reads everywhere except the telemetry
+// stopwatch (src/telemetry/stopwatch.h) and this header, because a clock
+// read that feeds a result silently breaks every byte-identity wall in the
+// repo. A Deadline may only ever gate *whether the service keeps accepting
+// work* (an operational watchdog on wsync_serve, a poll timeout in a
+// harness) — never what any accepted job computes. Keep every
+// steady_clock mention inside this file; callers use the Deadline API,
+// which wsync_lint treats as ordinary code.
 #ifndef WSYNC_SERVICE_DEADLINE_H_
 #define WSYNC_SERVICE_DEADLINE_H_
 

@@ -7,7 +7,7 @@
 #include <thread>
 #include <utility>
 
-#include "src/experiment/parallel_sweep.h"
+#include "src/experiment/sweep.h"
 #include "src/service/job_queue.h"
 #include "src/sync/runner.h"
 #include "src/telemetry/stopwatch.h"
@@ -258,6 +258,39 @@ SweepOutcome run_streaming_sweep(const SweepPlan& plan, ThreadPool& pool,
   OrderedChunkQueue::run(pool, map.total, tasks_in_chunk, run_task, on_chunk,
                          window);
   return outcome;
+}
+
+namespace {
+
+/// Keeps the one scenario's rows and failures.
+class CollectingSink final : public ChunkSink {
+ public:
+  void on_scenario_begin(size_t /*scenario_index*/,
+                         const PlannedScenario& /*planned*/) override {}
+
+  void on_chunk(size_t /*scenario_index*/, size_t /*point_index*/,
+                const PointResult& /*result*/,
+                bool /*from_checkpoint*/) override {}
+
+  void on_scenario_end(size_t /*scenario_index*/,
+                       const PlannedScenario& /*planned*/,
+                       const std::vector<PointResult>& results,
+                       const std::vector<std::string>& failures) override {
+    result.points = results;
+    result.failures = failures;
+  }
+
+  ScenarioResult result;
+};
+
+}  // namespace
+
+ScenarioResult run_scenario(const Scenario& scenario, int seeds,
+                            ThreadPool& pool) {
+  CollectingSink sink;
+  run_streaming_sweep(make_plan({&scenario}, seeds), pool,
+                      StreamingSweepOptions{}, sink);
+  return std::move(sink.result);
 }
 
 }  // namespace wsync

@@ -117,6 +117,20 @@ SweepOutcome run_streaming_sweep(const SweepPlan& plan, ThreadPool& pool,
                                  const StreamingSweepOptions& options,
                                  ChunkSink& sink);
 
+struct ScenarioResult {
+  std::vector<PointResult> points;   ///< grid order, one per point
+  std::vector<std::string> failures; ///< unmet expectations
+  bool ok() const { return failures.empty(); }
+};
+
+/// One scenario through run_streaming_sweep, collected in memory: every
+/// point on make_seeds(seeds) across `pool`, with expectations checked.
+/// `seeds <= 0` means the scenario's default_seeds. A 1-worker pool is the
+/// serial reference; results are bit-identical for any worker count.
+/// Throws std::invalid_argument on an invalid scenario.
+ScenarioResult run_scenario(const Scenario& scenario, int seeds,
+                            ThreadPool& pool);
+
 }  // namespace wsync
 
 #endif  // WSYNC_SERVICE_STREAMING_SWEEP_H_

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/adversary/adversary.h"
-#include "src/common/thread_pool.h"
 #include "src/protocol/protocol.h"
 #include "src/radio/activation.h"
 #include "src/radio/engine.h"
@@ -46,13 +45,12 @@ struct RunSpec {
   /// Offset bound enforced during maintenance: any round whose max pairwise
   /// offset exceeds this counts as a violation. Negative = chart only.
   int64_t offset_bound = -1;
-  /// Optional trace sink, observed by the FIRST run only when the spec is
-  /// replayed across seeds (one writer, and seed replication would
-  /// otherwise interleave unrelated executions into one trace). Not owned;
-  /// must outlive the run. A sink that allows_fast_forward() (the
-  /// telemetry sink does) leaves every result bit-identical to the
-  /// untraced run; MemoryTrace degrades the sparse engine to
-  /// round-by-round execution as before.
+  /// Optional trace sink observing this run. Not owned; must outlive the
+  /// run. A sink that allows_fast_forward() (the telemetry sink does)
+  /// leaves every result bit-identical to the untraced run; MemoryTrace
+  /// degrades the sparse engine to round-by-round execution. Which run of
+  /// a replicated grid gets traced is the sweep's decision (see
+  /// StreamingSweepOptions::trace).
   TraceSink* trace = nullptr;
 };
 
@@ -89,25 +87,6 @@ struct RunOutcome {
 
 /// Runs one seeded experiment to completion.
 RunOutcome run_sync_experiment(const RunSpec& spec);
-
-/// Runs `spec` once per seed in `seeds` (overriding spec.sim.seed).
-std::vector<RunOutcome> run_sync_experiments(const RunSpec& spec,
-                                             const std::vector<uint64_t>& seeds);
-
-/// Parallel replication: runs `spec` once per seed across `pool`'s workers.
-/// Outcomes come back in seed order and are bit-identical to the serial
-/// path — each run derives all of its randomness from its own seed's forked
-/// Rng streams and shares no state with its siblings, so the thread schedule
-/// cannot influence any run (see the determinism contract in
-/// src/common/thread_pool.h). Spec producers must be stateless or
-/// copy-captured (every producer in this repo is).
-std::vector<RunOutcome> run_sync_experiments_parallel(
-    const RunSpec& spec, const std::vector<uint64_t>& seeds, ThreadPool& pool);
-
-/// Convenience overload owning a pool for the call; `workers <= 0` means
-/// ThreadPool::default_workers().
-std::vector<RunOutcome> run_sync_experiments_parallel(
-    const RunSpec& spec, const std::vector<uint64_t>& seeds, int workers = 0);
 
 }  // namespace wsync
 

@@ -1,11 +1,12 @@
-// The sanctioned wall-clock site for telemetry timing metrics.
+// The sanctioned wall-clock site for timing: telemetry timing metrics and
+// bench self-timing (bench/bench_util.h's time_ms) both read it.
 //
-// wsync_lint bans wall-clock reads everywhere except the bench stopwatch
-// (bench/bench_util.h), the service deadline (src/service/deadline.h) and
-// this header, because a clock read that feeds a result silently breaks
-// every byte-identity wall in the repo. A telemetry Stopwatch may only ever
-// feed MetricClass::kTiming metrics — wall-clock observations that are
-// excluded from every bit-identity wall — never a simulation outcome or a
+// wsync_lint bans wall-clock reads everywhere except the service deadline
+// (src/service/deadline.h) and this header, because a clock read that
+// feeds a result silently breaks every byte-identity wall in the repo. A
+// telemetry Stopwatch may only ever feed MetricClass::kTiming metrics —
+// wall-clock observations that are excluded from every bit-identity wall —
+// or a bench's printed timings, never a simulation outcome or a
 // deterministic metric. Keep every steady_clock mention inside this file;
 // callers use the Stopwatch API, which wsync_lint treats as ordinary code.
 //

@@ -10,6 +10,7 @@
 
 #include "src/experiment/sweep.h"
 #include "src/samaritan/schedule.h"
+#include "tests/testing/point_runner.h"
 
 namespace wsync {
 namespace {
@@ -43,7 +44,7 @@ TEST_P(SamaritanTimingTest, SyncsWithinTheAdaptiveSuperEpoch) {
       c.t_prime == 0 ? AdversaryKind::kNone : AdversaryKind::kFixedFirst;
   point.activation = ActivationKind::kSimultaneous;
 
-  const PointResult result = run_point(point, make_seeds(4));
+  const PointResult result = testing::run_one_point(point, 4);
   ASSERT_EQ(result.synced_runs, result.runs);
 
   // The adaptive budget: every super-epoch through k* + 1, where k* is the

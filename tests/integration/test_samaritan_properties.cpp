@@ -7,6 +7,7 @@
 
 #include "src/experiment/sweep.h"
 #include "src/samaritan/good_samaritan.h"
+#include "tests/testing/point_runner.h"
 
 namespace wsync {
 namespace {
@@ -45,7 +46,7 @@ TEST_P(SamaritanPropertyTest, FivePropertiesAndLeaderUniqueness) {
   point.activation_window = 64;
   point.extra_rounds = 200;
 
-  const PointResult result = run_point(point, make_seeds(3));
+  const PointResult result = testing::run_one_point(point, 3);
   EXPECT_EQ(result.synced_runs, result.runs);
   EXPECT_EQ(result.agreement_violations, 0);
   EXPECT_EQ(result.commit_violations, 0);

@@ -1,5 +1,6 @@
-// Seeded violation: a wall-clock read outside bench/bench_util.h. Results
-// must never depend on wall time; only the bench Stopwatch may measure it.
+// Seeded violation: a wall-clock read outside the sanctioned sites. Results
+// must never depend on wall time; only the telemetry Stopwatch may measure
+// it.
 #include <chrono>
 #include <cstdint>
 

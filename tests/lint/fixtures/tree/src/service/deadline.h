@@ -1,5 +1,5 @@
-// Whitelist fixture: src/service/deadline.h is the second sanctioned
-// wall-clock site (the service I/O watchdog), so these steady_clock reads
+// Whitelist fixture: src/service/deadline.h is one of the two sanctioned
+// wall-clock sites (the service I/O watchdog), so these steady_clock reads
 // must NOT be flagged — asserted by this file's absence from expected.txt.
 #ifndef WSYNC_LINTFIX_SERVICE_DEADLINE_H_
 #define WSYNC_LINTFIX_SERVICE_DEADLINE_H_

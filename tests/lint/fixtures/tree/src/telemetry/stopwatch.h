@@ -1,5 +1,5 @@
-// Whitelist fixture: src/telemetry/stopwatch.h is the third sanctioned
-// wall-clock site (the telemetry stopwatch, kTiming metrics only), so
+// Whitelist fixture: src/telemetry/stopwatch.h is one of the two sanctioned
+// wall-clock sites (kTiming metrics and bench timing only), so
 // these steady_clock reads must NOT be flagged — asserted by this file's
 // absence from expected.txt.
 #ifndef WSYNC_LINTFIX_TELEMETRY_STOPWATCH_H_

@@ -26,6 +26,7 @@
 #include "src/radio/engine.h"
 #include "src/radio/trace.h"
 #include "src/sync/runner.h"
+#include "tests/testing/point_runner.h"
 #include "tests/testing/sim_builder.h"
 
 namespace wsync {
@@ -228,11 +229,10 @@ TEST(EngineDifferentialTest, RunnerOutcomesMatchThroughBothEngines) {
   point.activation = ActivationKind::kStaggeredUniform;
   point.activation_window = 10;
 
-  const std::vector<uint64_t> seeds = make_seeds(3);
   auto run_with = [&](EngineMode mode) {
     ExperimentPoint p = point;
     p.engine = mode;
-    return run_point(p, seeds);
+    return testing::run_one_point(p, 3);
   };
   const PointResult dense = run_with(EngineMode::kDense);
   const PointResult sparse = run_with(EngineMode::kSparse);
@@ -382,7 +382,7 @@ TEST(EngineDifferentialTest, MaintenanceReportsMatchAcrossEngines) {
 }
 
 TEST(EngineDifferentialTest, MaintenanceOutcomesMatchThroughRunner) {
-  // Same property one layer up: run_point with a maintenance phase must
+  // Same property one layer up: a point with a maintenance phase must
   // aggregate identical drift columns from either engine.
   ExperimentPoint point;
   point.F = 16;
@@ -398,11 +398,10 @@ TEST(EngineDifferentialTest, MaintenanceOutcomesMatchThroughRunner) {
   point.maintenance_rounds = 2000;
   point.offset_bound = 64;
 
-  const std::vector<uint64_t> seeds = make_seeds(3);
   auto run_with = [&](EngineMode mode) {
     ExperimentPoint p = point;
     p.engine = mode;
-    return run_point(p, seeds);
+    return testing::run_one_point(p, 3);
   };
   const PointResult dense = run_with(EngineMode::kDense);
   const PointResult sparse = run_with(EngineMode::kSparse);

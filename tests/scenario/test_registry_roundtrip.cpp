@@ -1,10 +1,12 @@
 // Registry round-trip: every catalog scenario validates, runs a seed to
 // completion, and produces bit-identical aggregates at 1 vs 4 workers —
-// the PR 2 determinism contract extended to the whole catalog.
+// the cross-worker determinism contract extended to the whole catalog.
 #include <gtest/gtest.h>
 
+#include "src/common/thread_pool.h"
 #include "src/scenario/registry.h"
 #include "src/scenario/scenario.h"
+#include "src/service/streaming_sweep.h"
 
 namespace wsync {
 namespace {
@@ -53,8 +55,8 @@ TEST_P(RegistryRoundTripTest, RunsOneSeedIdenticallyAcrossWorkerCounts) {
   const Scenario& scenario = *GetParam();
   ASSERT_NO_THROW(validate(scenario));
 
-  const ScenarioResult one = run_scenario(scenario, /*seeds=*/1,
-                                          /*workers=*/1);
+  ThreadPool one_worker(1);
+  const ScenarioResult one = run_scenario(scenario, /*seeds=*/1, one_worker);
   ASSERT_EQ(one.points.size(), scenario.grid.size());
   for (const PointResult& r : one.points) {
     // Every run completed (synced or counted as a timeout), and the one
@@ -68,8 +70,9 @@ TEST_P(RegistryRoundTripTest, RunsOneSeedIdenticallyAcrossWorkerCounts) {
     EXPECT_GT(r.broadcast_rounds + r.listen_rounds, 0);
   }
 
-  const ScenarioResult four = run_scenario(scenario, /*seeds=*/1,
-                                           /*workers=*/4);
+  ThreadPool four_workers(4);
+  const ScenarioResult four =
+      run_scenario(scenario, /*seeds=*/1, four_workers);
   ASSERT_EQ(four.points.size(), one.points.size());
   for (size_t i = 0; i < one.points.size(); ++i) {
     expect_same_result(one.points[i], four.points[i]);

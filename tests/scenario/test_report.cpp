@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/scenario/registry.h"
+#include "src/service/streaming_sweep.h"
 
 namespace wsync {
 namespace {
@@ -56,8 +58,10 @@ TEST(ReportTest, CsvHeaderIsScenarioPlusResultColumns) {
 
 TEST(ReportTest, RowsAreIdenticalAcrossWorkerCounts) {
   const Scenario s = small_scenario();
-  const ScenarioResult one = run_scenario(s, /*seeds=*/2, /*workers=*/1);
-  const ScenarioResult four = run_scenario(s, /*seeds=*/2, /*workers=*/4);
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  const ScenarioResult one = run_scenario(s, /*seeds=*/2, pool1);
+  const ScenarioResult four = run_scenario(s, /*seeds=*/2, pool4);
 
   CsvReport csv_one;
   csv_one.add(s, one.points);
@@ -94,8 +98,10 @@ TEST(ReportTest, MaintenanceRowsAreByteIdenticalAcrossWorkerCounts) {
   point.maintenance_rounds = 1500;
   s.grid.push_back(point);
 
-  const ScenarioResult one = run_scenario(s, /*seeds=*/3, /*workers=*/1);
-  const ScenarioResult four = run_scenario(s, /*seeds=*/3, /*workers=*/4);
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  const ScenarioResult one = run_scenario(s, /*seeds=*/3, pool1);
+  const ScenarioResult four = run_scenario(s, /*seeds=*/3, pool4);
   CsvReport csv_one;
   csv_one.add(s, one.points);
   CsvReport csv_four;
@@ -112,7 +118,8 @@ TEST(ReportTest, MaintenanceRowsAreByteIdenticalAcrossWorkerCounts) {
 
 TEST(ReportTest, EnergyColumnsSurfaceTheLedger) {
   const Scenario s = small_scenario();
-  const ScenarioResult result = run_scenario(s, /*seeds=*/2, /*workers=*/2);
+  ThreadPool pool2(2);
+  const ScenarioResult result = run_scenario(s, /*seeds=*/2, pool2);
   const Table table = results_table(s, result.points);
   const std::string csv = [&] {
     CsvReport report;

@@ -5,7 +5,9 @@
 #include <set>
 #include <stdexcept>
 
+#include "src/common/thread_pool.h"
 #include "src/scenario/registry.h"
+#include "src/service/streaming_sweep.h"
 
 namespace wsync {
 namespace {
@@ -171,7 +173,8 @@ TEST(ScenarioExpectationsTest, ImpossibleEnergyBudgetFailsARealRun) {
   // budget failure.
   Scenario s = minimal_scenario();
   s.grid[0].energy_budget = 0;
-  const ScenarioResult result = run_scenario(s, 1, 1);
+  ThreadPool pool(1);
+  const ScenarioResult result = run_scenario(s, 1, pool);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.failures[0].find("energy budget"), std::string::npos);
   EXPECT_EQ(result.points[0].energy_budget_violations, 1);
@@ -183,7 +186,8 @@ TEST(ScenarioRunTest, RunScenarioProducesGridOrderedResults) {
   second.t = 0;
   second.adversary = AdversaryKind::kNone;
   s.grid.push_back(second);
-  const ScenarioResult result = run_scenario(s, 2, 2);
+  ThreadPool pool(2);
+  const ScenarioResult result = run_scenario(s, 2, pool);
   ASSERT_EQ(result.points.size(), 2u);
   EXPECT_EQ(result.points[0].point.t, 2);
   EXPECT_EQ(result.points[1].point.t, 0);
@@ -194,7 +198,8 @@ TEST(ScenarioRunTest, RunScenarioProducesGridOrderedResults) {
 TEST(ScenarioRunTest, SeedsZeroMeansScenarioDefault) {
   Scenario s = minimal_scenario();
   s.default_seeds = 3;
-  const ScenarioResult result = run_scenario(s);
+  ThreadPool pool(2);
+  const ScenarioResult result = run_scenario(s, 0, pool);
   EXPECT_EQ(result.points[0].runs, 3);
 }
 

@@ -1,9 +1,12 @@
 // Streaming sweep wall: the bounded-memory chunked execution must be
-// bit-identical to the one-shot path, invariant under worker count and
-// window size, and exactly resumable — a full or partial checkpoint replay
-// yields the same sink sequence as computing from scratch, with zero tasks
-// scheduled for replayed chunks. Results are compared through
-// encode_chunk_line, so every double is compared by bit pattern.
+// bit-identical to a hand loop over the per-run primitives, invariant under
+// worker count and window size, and exactly resumable — a full or partial
+// checkpoint replay yields the same sink sequence as an uninterrupted
+// run, with zero tasks scheduled for replayed chunks. run_scenario, the
+// sweep's in-memory one-scenario form, is pinned here too: serial (1
+// worker) vs parallel identity, timeout accounting, error propagation.
+// Results are compared through encode_chunk_line, so every double is
+// compared by bit pattern.
 #include "src/service/streaming_sweep.h"
 
 #include <gtest/gtest.h>
@@ -14,8 +17,11 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
+#include "src/experiment/sweep.h"
+#include "src/radio/trace.h"
 #include "src/scenario/scenario.h"
 #include "src/service/checkpoint.h"
+#include "src/sync/runner.h"
 
 namespace wsync {
 namespace {
@@ -132,21 +138,33 @@ TEST(StreamingSweepTest, BitIdenticalAcrossWorkersAndWindows) {
 }
 
 TEST(StreamingSweepTest, MatchesTheOneShotScenarioRunner) {
+  // run_scenario wraps the sweep, so the reference is a hand loop over the
+  // per-run and per-point primitives: run_sync_experiment on make_seeds(k),
+  // folded in seed order by aggregate_point.
   const Scenario scenario = small_scenario("solo_fixture", 3);
   ThreadPool pool(4);
-  const ScenarioResult one_shot = run_scenario(scenario, /*seeds=*/0, pool);
+  const ScenarioResult swept = run_scenario(scenario, /*seeds=*/0, pool);
 
-  const SweepPlan plan = make_plan({&scenario}, /*seeds_override=*/0);
-  RecordingSink sink;
-  sink.attach(&plan);
-  StreamingSweepOptions options;
-  run_streaming_sweep(plan, pool, options, sink);
-
-  ASSERT_EQ(one_shot.points.size(), 3u);
-  for (size_t pi = 0; pi < one_shot.points.size(); ++pi) {
-    EXPECT_EQ(sink.events[1 + pi],
-              encode_chunk_line(scenario.name, pi, one_shot.points[pi]));
+  const std::vector<uint64_t> seeds = make_seeds(scenario.default_seeds);
+  std::vector<PointResult> reference;
+  for (const ExperimentPoint& point : scenario.grid) {
+    const RunSpec spec = make_run_spec(point);
+    std::vector<RunOutcome> outcomes;
+    for (const uint64_t seed : seeds) {
+      RunSpec seeded = spec;
+      seeded.sim.seed = seed;
+      outcomes.push_back(run_sync_experiment(seeded));
+    }
+    reference.push_back(aggregate_point(point, outcomes));
   }
+
+  // Results land at the index of their point, whatever finished first.
+  ASSERT_EQ(swept.points.size(), reference.size());
+  for (size_t pi = 0; pi < reference.size(); ++pi) {
+    EXPECT_EQ(encode_chunk_line(scenario.name, pi, swept.points[pi]),
+              encode_chunk_line(scenario.name, pi, reference[pi]));
+  }
+  EXPECT_EQ(swept.failures, check_expectations(scenario, reference));
 }
 
 TEST(StreamingSweepTest, FullResumeComputesNothingAndMatches) {
@@ -280,6 +298,143 @@ TEST(StreamingSweepTest, MakePlanValidatesAndResolvesSeeds) {
   Scenario invalid = scenario;
   invalid.grid.clear();
   EXPECT_THROW(make_plan({&invalid}, 0), std::invalid_argument);
+  ThreadPool pool(2);
+  EXPECT_THROW(run_scenario(invalid, /*seeds=*/4, pool),
+               std::invalid_argument);
+}
+
+// --- run_scenario: the one grid runner (1 worker = the serial reference) --
+
+/// A point no seed can synchronize: a 3-round budget at N = 1024.
+ExperimentPoint timeout_point() {
+  ExperimentPoint point = trapdoor_point(2);
+  point.N = 1024;
+  point.n = 8;
+  point.max_rounds = 3;
+  return point;
+}
+
+Scenario one_point_scenario(const ExperimentPoint& point) {
+  return {.name = "one_point_fixture",
+          .summary = "one point through run_scenario",
+          .rationale = "exercises run_scenario in isolation",
+          .grid = {point}};
+}
+
+/// Every point as its encoded chunk line, then the failures: equal vectors
+/// mean bit-identical results.
+std::vector<std::string> encoded(const Scenario& scenario,
+                                 const ScenarioResult& result) {
+  std::vector<std::string> lines;
+  for (size_t pi = 0; pi < result.points.size(); ++pi) {
+    lines.push_back(encode_chunk_line(scenario.name, pi, result.points[pi]));
+  }
+  lines.insert(lines.end(), result.failures.begin(), result.failures.end());
+  return lines;
+}
+
+TEST(ParallelRunnerTest, BitIdenticalToSerialAcrossWorkerCounts) {
+  Scenario scenario = small_scenario("workers_fixture", 3);
+  for (ExperimentPoint& point : scenario.grid) point.extra_rounds = 64;
+  ThreadPool serial_pool(1);
+  const std::vector<std::string> serial =
+      encoded(scenario, run_scenario(scenario, /*seeds=*/8, serial_pool));
+  for (const int workers : {2, 4, ThreadPool::default_workers()}) {
+    ThreadPool pool(workers);
+    EXPECT_EQ(encoded(scenario, run_scenario(scenario, /*seeds=*/8, pool)),
+              serial)
+        << "workers " << workers;
+  }
+}
+
+TEST(ParallelRunnerTest, SharedPoolOverloadMatchesSerial) {
+  const Scenario scenario = small_scenario("shared_pool_fixture", 2);
+  ThreadPool serial_pool(1);
+  const std::vector<std::string> serial =
+      encoded(scenario, run_scenario(scenario, /*seeds=*/4, serial_pool));
+  ThreadPool pool(4);
+  // Re-using one pool across calls must not perturb results either.
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    EXPECT_EQ(encoded(scenario, run_scenario(scenario, /*seeds=*/4, pool)),
+              serial)
+        << "repeat " << repeat;
+  }
+}
+
+TEST(ParallelRunnerTest, UnsyncedRunsSurviveParallelReplication) {
+  ExperimentPoint point = timeout_point();
+  point.n = 4;
+  ThreadPool pool(4);
+  const ScenarioResult result =
+      run_scenario(one_point_scenario(point), /*seeds=*/3, pool);
+  ASSERT_EQ(result.points.size(), 1u);
+  const PointResult& r = result.points[0];
+  EXPECT_EQ(r.runs, 3);
+  EXPECT_EQ(r.synced_runs, 0);
+  // Every run executed its whole 3-round budget.
+  EXPECT_EQ(r.rounds_simulated, 3 * 3);
+  // And the expectation check sees them: this scenario expects liveness.
+  EXPECT_FALSE(result.ok());
+}
+
+TEST(ParallelSweepTest, TimeoutRunsAreCountedNotDropped) {
+  const Scenario scenario = one_point_scenario(timeout_point());
+  ThreadPool pool(2);
+  const ScenarioResult result = run_scenario(scenario, /*seeds=*/5, pool);
+  const PointResult& r = result.points.at(0);
+  EXPECT_EQ(r.runs, 5);
+  EXPECT_EQ(r.synced_runs, 0);
+  EXPECT_EQ(r.timeout_runs, 5);
+  // The summaries hold no samples — timeout_runs is the only trace of the
+  // five runs, which is exactly why it must exist.
+  EXPECT_EQ(r.rounds_to_live.count, 0u);
+  EXPECT_EQ(r.max_node_latency.count, 0u);
+  ThreadPool serial_pool(1);
+  EXPECT_EQ(encoded(scenario, result),
+            encoded(scenario, run_scenario(scenario, 5, serial_pool)));
+}
+
+TEST(ParallelSweepTest, MixedOutcomePointSplitsSyncedAndTimeout) {
+  // A budget between the fast and slow seeds' needs: some runs sync, the
+  // rest time out, and the counters must partition runs exactly.
+  ExperimentPoint point = trapdoor_point(2);
+  ThreadPool pool(2);
+  const PointResult unbounded =
+      run_scenario(one_point_scenario(point), /*seeds=*/6, pool).points.at(0);
+  ASSERT_EQ(unbounded.synced_runs, 6);
+  point.max_rounds = static_cast<RoundId>(unbounded.rounds_to_live.p50);
+  const PointResult bounded =
+      run_scenario(one_point_scenario(point), /*seeds=*/6, pool).points.at(0);
+  EXPECT_EQ(bounded.synced_runs + bounded.timeout_runs, bounded.runs);
+  EXPECT_GT(bounded.timeout_runs, 0);
+}
+
+/// Rejects the run it observes, so the first traced task throws.
+class RejectingTrace final : public TraceSink {
+ public:
+  void on_round(const RoundTraceEvent& /*event*/) override {
+    throw std::invalid_argument("trace sink rejected the run");
+  }
+};
+
+TEST(ParallelRunnerTest, TaskExceptionPropagatesOutOfTheSweep) {
+  const SweepPlan plan = two_scenario_plan();
+  ThreadPool pool(2);
+  RecordingSink sink;
+  sink.attach(&plan);
+  RejectingTrace trace;
+  StreamingSweepOptions options;
+  options.trace = &trace;
+  try {
+    run_streaming_sweep(plan, pool, options, sink);
+    FAIL() << "the task error was swallowed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("trace sink rejected the run"),
+              std::string::npos)
+        << error.what();
+  }
+  // The failing chunk never reached the sink.
+  EXPECT_TRUE(sink.events.empty());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/adversary/basic.h"
 #include "src/trapdoor/trapdoor.h"
 
@@ -62,13 +64,20 @@ TEST(RunnerTest, BudgetExhaustionReportsNotSynced) {
 TEST(RunnerTest, SeedsProduceIndependentButDeterministicRuns) {
   const RunSpec spec = trapdoor_spec(8, 2, 32, 6, 200000);
   const std::vector<uint64_t> seeds = {1, 2, 3};
-  const auto a = run_sync_experiments(spec, seeds);
-  const auto b = run_sync_experiments(spec, seeds);
-  ASSERT_EQ(a.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(a[i].rounds, b[i].rounds);
-    EXPECT_EQ(a[i].last_sync_round, b[i].last_sync_round);
+  std::vector<RunOutcome> a;
+  for (const uint64_t seed : seeds) {
+    RunSpec seeded = spec;
+    seeded.sim.seed = seed;
+    const RunOutcome first = run_sync_experiment(seeded);
+    const RunOutcome again = run_sync_experiment(seeded);
+    EXPECT_EQ(first.rounds, again.rounds) << "seed " << seed;
+    EXPECT_EQ(first.last_sync_round, again.last_sync_round) << "seed " << seed;
+    a.push_back(first);
   }
+  // Independent: distinct seeds do not replay one execution.
+  EXPECT_FALSE(a[0].rounds == a[1].rounds && a[1].rounds == a[2].rounds &&
+               a[0].sync_latency == a[1].sync_latency &&
+               a[1].sync_latency == a[2].sync_latency);
 }
 
 TEST(RunnerTest, ValidatesSpec) {
