@@ -14,8 +14,9 @@
 // local rounds after `age` true rounds, so two synchronized nodes with
 // different rates slide apart by up to 2*ppm/1e6 counts per round until a
 // resync beacon corrects the laggard. Everything is exact integer math
-// (128-bit intermediate product), so drift executions are bit-identical
-// across engines, worker counts and platforms like every other axis.
+// (int64 product up to age INT64_MAX / 1e6, 128-bit above), so drift
+// executions are bit-identical across engines, worker counts and platforms
+// like every other axis.
 //
 // Rates are drawn once per execution from a dedicated fork of the master
 // seed (engine stream kDriftStream): node i gets a signed rate uniform in
@@ -48,7 +49,7 @@ struct DriftSpec {
 
 /// Accumulated local-clock skew after `age` true rounds at `rate_ppm`:
 /// floor(age * rate / 1e6). Exact for any |rate| < kDriftPpmScale and any
-/// age a simulation can reach (128-bit intermediate). Requires age >= 0.
+/// age >= 0 (int64 product up to INT64_MAX / 1e6, 128-bit above).
 int64_t drift_skew(int64_t age, int64_t rate_ppm);
 
 /// The node's local round counter after `age` true rounds: age + skew.

@@ -37,6 +37,7 @@ void DutyCycleProtocol::on_activate(Rng& rng) {
   role_ = Role::kContender;
   age_ = 0;
   schedule_.emplace(env_.N, rng);
+  bits_age_ = -1;  // the cached bits belong to the schedule just replaced
   promote_at_slots_ =
       schedule_->ladder_awake_rounds() + config_.promote_extra_awake_slots;
 }
@@ -47,19 +48,26 @@ const WakeSchedule& DutyCycleProtocol::schedule() const {
 }
 
 bool DutyCycleProtocol::awake_next() const {
-  if (dormant_) {
-    // A dormant adopter with a resync cadence still opens its radio on the
-    // cadence slots, to hear the leader's beacon and cancel clock drift.
-    return resync_slot(age_);
-  }
-  return schedule_->awake(age_);
+  const SlotBits bits = slot_bits();
+  // A dormant adopter with a resync cadence still opens its radio on the
+  // cadence slots, to hear the leader's beacon and cancel clock drift.
+  return dormant_ ? bits.resync : bits.awake;
 }
 
-bool DutyCycleProtocol::resync_slot(int64_t age) const {
+DutyCycleProtocol::SlotBits DutyCycleProtocol::slot_bits() const {
+  if (bits_age_ != age_) {
+    bits_.awake = schedule_->awake(age_);
+    bits_.resync = bits_.awake && on_cadence(age_);
+    bits_age_ = age_;
+  }
+  return bits_;
+}
+
+bool DutyCycleProtocol::on_cadence(int64_t age) const {
   // Pure function of age: awake_rounds_before() is closed-form over the
   // schedule, so the rule gives the same answer whether the node was driven
   // round-by-round (dense) or fast-forwarded here (sparse).
-  return config_.resync_every_awake_slots > 0 && schedule_->awake(age) &&
+  return config_.resync_every_awake_slots > 0 &&
          schedule_->awake_rounds_before(age) %
                  config_.resync_every_awake_slots ==
              0;
@@ -92,7 +100,7 @@ RoundAction DutyCycleProtocol::act(Rng& rng) {
       // On the leader's own resync slots the beacon goes out for certain —
       // this is the transmission the dormant adopters schedule their wakes
       // around. (Short-circuit: no bernoulli draw on those slots.)
-      if (resync_slot(age_) ||
+      if (slot_bits().resync ||
           rng.bernoulli(config_.leader_broadcast_prob)) {
         LeaderMsg msg;
         msg.leader_uid = env_.uid;
@@ -201,7 +209,7 @@ double DutyCycleProtocol::broadcast_probability() const {
   switch (role_) {
     case Role::kContender: return config_.contender_broadcast_prob;
     case Role::kLeader:
-      return resync_slot(age_) ? 1.0 : config_.leader_broadcast_prob;
+      return slot_bits().resync ? 1.0 : config_.leader_broadcast_prob;
     case Role::kSynced: return config_.relay_broadcast_prob;
     default: return 0.0;
   }
@@ -215,7 +223,7 @@ std::optional<int64_t> DutyCycleProtocol::asleep_for() const {
     // fires. At most R hops, since awake_rounds_before() advances by one
     // per awake slot.
     int64_t a = schedule_->next_awake(age_);
-    while (!resync_slot(a)) a = schedule_->next_awake(a + 1);
+    while (!on_cadence(a)) a = schedule_->next_awake(a + 1);
     return a - age_;
   }
   return schedule_->next_awake(age_) - age_;

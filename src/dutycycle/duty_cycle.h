@@ -110,10 +110,22 @@ class DutyCycleProtocol final : public Protocol {
   bool dormant() const { return dormant_; }
 
  private:
+  /// The two schedule bits of one age: awake, and awake on the resync
+  /// cadence.
+  struct SlotBits {
+    bool awake = false;
+    bool resync = false;
+  };
+
   bool awake_next() const;
-  /// True iff `age` is an awake slot on the resync cadence (see
+  /// The bits of age_, evaluated once per age and shared by
+  /// broadcast_probability() and act(). Keyed on age_ alone: they derive
+  /// from the schedule, never from the role.
+  SlotBits slot_bits() const;
+  /// True iff the awake slot `age` is on the resync cadence: the first,
+  /// (R+1)-th, (2R+1)-th, ... awake slot of the schedule (see
   /// DutyCycleConfig::resync_every_awake_slots). Always false when R == 0.
-  bool resync_slot(int64_t age) const;
+  bool on_cadence(int64_t age) const;
   /// This node's local round counter at true age `age` (drift applied).
   int64_t local(int64_t age) const;
   void adopt(const LeaderMsg& msg);
@@ -131,6 +143,10 @@ class DutyCycleProtocol final : public Protocol {
   int64_t relay_slots_ = 0;       // synced: awake slots spent relaying
   bool dormant_ = false;          // synced + relay exhausted: radio off
   bool was_awake_ = false;        // this round's act() was a wake slot
+
+  // slot_bits() cache: bits_ holds the bits of age bits_age_.
+  mutable int64_t bits_age_ = -1;
+  mutable SlotBits bits_;
 
   bool has_sync_ = false;
   int64_t sync_value_ = 0;

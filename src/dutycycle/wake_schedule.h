@@ -31,12 +31,14 @@
 //
 // Everything is drawn once at construction from the caller's Rng (the
 // engine hands protocols their uid-derived node stream), so the schedule
-// is a pure deterministic function of (N, seed material) thereafter.
+// is a pure deterministic function of (N, seed material) thereafter, and
+// every query below is O(1): the rung of a ladder age is read off its bit
+// width, and the steady grid is counted in closed form, never scanned.
 #ifndef WSYNC_DUTYCYCLE_WAKE_SCHEDULE_H_
 #define WSYNC_DUTYCYCLE_WAKE_SCHEDULE_H_
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "src/common/rng.h"
 
@@ -48,7 +50,7 @@ class WakeSchedule {
   /// known upper bound on the number of nodes (N >= 1).
   WakeSchedule(int64_t N, Rng& rng);
 
-  /// True iff the node's radio is on in its local round `age` (>= 0).
+  /// True iff the node's radio is on in its local round `age` (>= 0). O(1).
   bool awake(int64_t age) const;
 
   /// Grid side s: a power of two, >= 4, Θ(lg N).
@@ -66,12 +68,15 @@ class WakeSchedule {
   int col() const { return col_; }
 
   /// Awake rounds among local rounds [0, age) — the node's energy cost if
-  /// it follows the schedule exactly.
+  /// it follows the schedule exactly. O(1): k full rungs hold k·s awake
+  /// rounds, a partial rung counts its residue hits, and a steady tail is
+  /// full rows + column hits − the row∩column slot.
   int64_t awake_rounds_before(int64_t age) const;
 
   /// Smallest age' >= age with awake(age') — the sparse engine's wake-event
-  /// horizon. Always within 3·grid_side() rounds of `age`: every stride is
-  /// at most s, and a rung boundary adds at most stride + next phase.
+  /// horizon. O(1). Always within 3·grid_side() rounds of `age`: every
+  /// stride is at most s, and a rung boundary adds at most stride + next
+  /// phase.
   int64_t next_awake(int64_t age) const;
 
   /// The proven rendezvous window: any two schedules built for this N,
@@ -83,11 +88,26 @@ class WakeSchedule {
   static int grid_side_for(int64_t N);
 
  private:
+  /// s <= 64 for every int64 N (lg N <= 63), so at most lg 64 + 1 rungs.
+  static constexpr int kMaxRungs = 7;
+
+  /// The ladder rung holding `age` (< ladder_rounds_): rung k starts at
+  /// s·(2^k − 1), so k = ⌊lg(age / s + 1)⌋.
+  int rung_of(int64_t age) const;
+  /// First local round of rung k: s·(2^k − 1).
+  int64_t rung_start(int k) const {
+    return ((int64_t{1} << k) - 1) << lg_side_;
+  }
+  /// Smallest steady position >= pos (in [0, P)) on the row or the column.
+  int64_t steady_next(int64_t pos) const;
+
   int side_ = 4;             // s, power of two
+  int lg_side_ = 2;          // lg s
   int64_t period_ = 16;      // s^2
   int64_t ladder_rounds_ = 0;
   int64_t ladder_awake_ = 0;
-  std::vector<int64_t> rung_phase_;  // rung k: awake iff pos ≡ phase (mod 2^k)
+  // Rung k: awake iff pos ≡ phase (mod 2^k); phases are < 2^k <= s <= 64.
+  std::array<uint8_t, kMaxRungs> rung_phase_{};
   int row_ = 0;
   int col_ = 0;
 };

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -48,12 +49,48 @@ TEST(DriftSkewTest, NegativeRatesFloorAwayFromZero) {
   EXPECT_EQ(drift_skew(15'000, -100), -(drift_skew(15'000, 100) + 1));
 }
 
+/// floor(age * rate / 1e6), computed independently of drift_skew: the
+/// 128-bit quotient stepped down by one when it truncated upward.
+int64_t floor_skew_reference(int64_t age, int64_t rate) {
+  const __int128 product = static_cast<__int128>(age) * rate;
+  __int128 quotient = product / 1'000'000;
+  if (quotient * 1'000'000 > product) --quotient;
+  return static_cast<int64_t>(quotient);
+}
+
 TEST(DriftSkewTest, HugeAgesStayExactThroughThe128BitProduct) {
   // age * rate overflows int64 here; the 128-bit intermediate must not.
   const int64_t age = int64_t{1} << 62;
   EXPECT_EQ(drift_skew(age, 1'000'000 - 1), age - age / 1'000'000 - 1);
   EXPECT_EQ(drift_skew(age, 500'000), age / 2);
   EXPECT_EQ(drift_skew(age, -500'000), -(age / 2));
+
+  // Both sides of the int64 fast-path boundary (ages up to INT64_MAX / 1e6
+  // take the int64 product), the extreme rates, and negative products that
+  // are and are not exact multiples of 1e6.
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t edge = max / kDriftPpmScale;
+  const int64_t ages[] = {0,        1,    999'999,  1'000'000, edge - 1,
+                          edge,     edge + 1, max / 2, max - 1,   max};
+  const int64_t rates[] = {0,       1,        -1,      999'999,  -999'999,
+                           500'000, -500'000, 333'333, -333'333, 2,
+                           -2,      1'000};
+  for (const int64_t a : ages) {
+    for (const int64_t rate : rates) {
+      ASSERT_EQ(drift_skew(a, rate), floor_skew_reference(a, rate))
+          << "age " << a << " rate " << rate;
+    }
+  }
+  // Exact negative products land on the quotient itself, inexact ones one
+  // below the truncated quotient — on both paths.
+  EXPECT_EQ(drift_skew(2'000'000, -500'000), -1'000'000);     // exact
+  EXPECT_EQ(drift_skew(2'000'001, -500'000), -1'000'001);     // inexact
+  EXPECT_EQ(drift_skew(edge, -1), -(edge / 1'000'000) - 1);  // inexact
+  EXPECT_EQ(drift_skew(int64_t{4'000'000'000'000'000}, -250'000),
+            -int64_t{1'000'000'000'000'000});  // exact, 128-bit path
+  EXPECT_EQ(drift_skew(max, -999'999), floor_skew_reference(max, -999'999));
+  EXPECT_EQ(drift_skew(edge + 1, -999'999),
+            floor_skew_reference(edge + 1, -999'999));
 }
 
 TEST(DriftSkewTest, RejectsNegativeAgeAndOutOfRangeRates) {

@@ -261,6 +261,19 @@ TEST(DutyCycleResyncTest, DormantAdopterWakesListenOnlyOnTheCadence) {
   int64_t age = 1;  // one on_round_end so far
   int resync_wakes = 0;
   for (int i = 0; i < 4000; ++i, ++age) {
+    if (i % 5 == 4) {
+      // Fast-forward all or half of the asleep span, as the sparse engine
+      // does between visits: whatever the protocol derived from the old age
+      // must not leak into the new one.
+      const auto asleep = protocol.asleep_for();
+      ASSERT_TRUE(asleep.has_value());
+      ASSERT_TRUE(external_resync_slot(schedule, age + *asleep, 4))
+          << "age " << age;
+      const int64_t jump = i % 2 == 0 ? *asleep : *asleep / 2;
+      protocol.skip_rounds(jump);
+      age += jump;
+      ASSERT_EQ(protocol.asleep_for(), *asleep - jump) << "age " << age;
+    }
     const bool resync = external_resync_slot(schedule, age, 4);
     const double prob = protocol.broadcast_probability();
     const RoundAction action = protocol.act(rng);
@@ -386,6 +399,21 @@ TEST(DutyCycleResyncTest, LeaderBeaconIsCertainOnItsResyncSlots) {
   const WakeSchedule& schedule = protocol.schedule();
   int beacons = 0;
   for (int i = 0; i < 3000; ++i, ++age) {
+    if (i % 5 == 4) {
+      // Fast-forward all or half of the asleep span, as the sparse engine
+      // does between visits: whatever the protocol derived from the old age
+      // must not leak into the new one.
+      const auto asleep = protocol.asleep_for();
+      ASSERT_TRUE(asleep.has_value());
+      ASSERT_TRUE(schedule.awake(age + *asleep)) << "age " << age;
+      for (int64_t d = 0; d < *asleep; ++d) {
+        ASSERT_FALSE(schedule.awake(age + d)) << "age " << age + d;
+      }
+      const int64_t jump = i % 2 == 0 ? *asleep : *asleep / 2;
+      protocol.skip_rounds(jump);
+      age += jump;
+      ASSERT_EQ(protocol.asleep_for(), *asleep - jump) << "age " << age;
+    }
     const bool resync = external_resync_slot(schedule, age, 4);
     const double prob = protocol.broadcast_probability();
     const RoundAction action = protocol.act(rng);

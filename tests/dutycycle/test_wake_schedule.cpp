@@ -78,17 +78,113 @@ TEST(WakeScheduleTest, SteadyStateIsRowPlusColumnOfTheGrid) {
   EXPECT_EQ(awake, 2 * s - 1);
 }
 
-TEST(WakeScheduleTest, AwakeRoundsBeforeMatchesBruteForce) {
-  Rng rng(3);
-  const WakeSchedule schedule(256, rng);
-  int64_t count = 0;
-  const int64_t horizon = schedule.ladder_rounds() + 3 * schedule.period();
-  for (int64_t age = 0; age < horizon; ++age) {
-    ASSERT_EQ(schedule.awake_rounds_before(age), count) << "age " << age;
-    if (schedule.awake(age)) ++count;
+/// Independent reference for a schedule: redraws the constructor's
+/// per-rung phases and quorum coordinates from the same seed, then walks
+/// the ladder rung by rung and reads the steady grid off its row and
+/// column — written from the class comment, not from the closed forms
+/// under test.
+class BruteSchedule {
+ public:
+  BruteSchedule(int64_t N, uint64_t seed)
+      : side_(WakeSchedule::grid_side_for(N)) {
+    Rng rng(seed);
+    for (int64_t stride = 1; stride <= side_; stride *= 2) {
+      phases_.push_back(
+          static_cast<int64_t>(rng.next_below(static_cast<uint64_t>(stride))));
+    }
+    row_ = static_cast<int64_t>(rng.next_below(static_cast<uint64_t>(side_)));
+    col_ = static_cast<int64_t>(rng.next_below(static_cast<uint64_t>(side_)));
   }
-  EXPECT_EQ(schedule.ladder_awake_rounds(),
-            schedule.awake_rounds_before(schedule.ladder_rounds()));
+
+  int64_t row() const { return row_; }
+  int64_t col() const { return col_; }
+
+  bool awake(int64_t age) const {
+    int64_t start = 0;
+    int64_t stride = 1;
+    for (const int64_t phase : phases_) {
+      const int64_t len = side_ * stride;
+      if (age < start + len) return (age - start) % stride == phase;
+      start += len;
+      stride *= 2;
+    }
+    const int64_t pos = (age - start) % (side_ * side_);
+    return pos / side_ == row_ || pos % side_ == col_;
+  }
+
+ private:
+  int64_t side_;
+  std::vector<int64_t> phases_;
+  int64_t row_ = 0;
+  int64_t col_ = 0;
+};
+
+/// Every O(1) query against a brute-force scan over the ladder + 3 periods,
+/// and against its own periodicity at huge ages, on a grid of N spanning
+/// s = 4 to s = 64 (the largest side any int64 N gets) and several seeds
+/// per N.
+TEST(WakeScheduleTest, AwakeRoundsBeforeMatchesBruteForce) {
+  EXPECT_EQ(WakeSchedule::grid_side_for(1), 4);
+  EXPECT_EQ(WakeSchedule::grid_side_for(int64_t{1} << 40), 64);
+  const int64_t sizes[] = {1, 16, 100, 10'000, 1'000'000, int64_t{1} << 40};
+  for (const int64_t N : sizes) {
+    for (const uint64_t seed : {uint64_t{3}, uint64_t{17}, uint64_t{0xC0FFEE},
+                                uint64_t{0x5EED5EED}}) {
+      Rng rng(seed);
+      const WakeSchedule schedule(N, rng);
+      const BruteSchedule brute(N, seed);
+      ASSERT_EQ(schedule.row(), brute.row()) << "N " << N << " seed " << seed;
+      ASSERT_EQ(schedule.col(), brute.col()) << "N " << N << " seed " << seed;
+      const int64_t horizon = schedule.ladder_rounds() + 3 * schedule.period();
+      // Scan backwards once so next_awake's reference is the nearest awake
+      // age at or after each probe.
+      std::vector<int64_t> next(static_cast<size_t>(horizon));
+      int64_t upcoming = horizon;
+      while (!brute.awake(upcoming)) ++upcoming;
+      for (int64_t age = horizon - 1; age >= 0; --age) {
+        if (brute.awake(age)) upcoming = age;
+        next[static_cast<size_t>(age)] = upcoming;
+      }
+      int64_t count = 0;
+      for (int64_t age = 0; age < horizon; ++age) {
+        const bool want = brute.awake(age);
+        ASSERT_EQ(schedule.awake(age), want)
+            << "N " << N << " seed " << seed << " age " << age;
+        ASSERT_EQ(schedule.awake_rounds_before(age), count)
+            << "N " << N << " seed " << seed << " age " << age;
+        ASSERT_EQ(schedule.next_awake(age), next[static_cast<size_t>(age)])
+            << "N " << N << " seed " << seed << " age " << age;
+        if (want) ++count;
+      }
+      EXPECT_EQ(schedule.ladder_awake_rounds(),
+                schedule.awake_rounds_before(schedule.ladder_rounds()));
+      EXPECT_EQ(count, schedule.ladder_awake_rounds() +
+                           3 * schedule.slots_per_period());
+
+      // Past the ladder every query is periodic in P, also at ages >= 10^12
+      // that no iterative count could reach: one period adds exactly 2s − 1
+      // awake rounds and shifts the next wake by exactly P.
+      const int64_t P = schedule.period();
+      for (const int64_t base : {int64_t{1'000'000'000'000}, int64_t{1} << 50,
+                                 int64_t{1} << 61}) {
+        for (int64_t age = base; age < base + P; ++age) {
+          ASSERT_EQ(schedule.awake_rounds_before(age + P),
+                    schedule.awake_rounds_before(age) +
+                        2 * schedule.grid_side() - 1)
+              << "N " << N << " seed " << seed << " age " << age;
+          ASSERT_EQ(schedule.next_awake(age + P), schedule.next_awake(age) + P)
+              << "N " << N << " seed " << seed << " age " << age;
+          ASSERT_EQ(schedule.awake(age + P), schedule.awake(age))
+              << "N " << N << " seed " << seed << " age " << age;
+          // The count advances by one exactly on awake rounds.
+          ASSERT_EQ(schedule.awake_rounds_before(age + 1) -
+                        schedule.awake_rounds_before(age),
+                    schedule.awake(age) ? 1 : 0)
+              << "N " << N << " seed " << seed << " age " << age;
+        }
+      }
+    }
+  }
 }
 
 /// The proven window: two schedules for the same N, ANY activation offset,
