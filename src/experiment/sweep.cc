@@ -1,6 +1,7 @@
 #include "src/experiment/sweep.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "src/adversary/adaptive.h"
@@ -299,75 +300,115 @@ std::vector<uint64_t> make_seeds(int count, uint64_t base) {
   return seeds;
 }
 
+namespace {
+
+using Point = const ExperimentPoint&;
+using Run = const RunOutcome&;
+
+}  // namespace
+
+constexpr std::array<CountField, 21> kCountFields = {{
+    {&PointResult::runs, Fold::kSum, "runs", false,
+     [](Point, Run) -> int64_t { return 1; }},
+    {&PointResult::synced_runs, Fold::kSum, "synced_runs", false,
+     [](Point, Run o) { return int64_t{o.synced}; }},
+    {&PointResult::timeout_runs, Fold::kSum, "timeout_runs", false,
+     [](Point, Run o) { return int64_t{!o.synced}; }},
+    {&PointResult::agreement_violations, Fold::kSum, nullptr, false,
+     [](Point, Run o) { return o.properties.agreement_violations; }},
+    {&PointResult::commit_violations, Fold::kSum, nullptr, false,
+     [](Point, Run o) { return o.properties.synch_commit_violations; }},
+    {&PointResult::correctness_violations, Fold::kSum, nullptr, false,
+     [](Point, Run o) { return o.properties.correctness_violations; }},
+    {&PointResult::max_leaders, Fold::kMax, nullptr, false,
+     [](Point, Run o) -> int64_t {
+       return o.properties.max_simultaneous_leaders;
+     }},
+    {&PointResult::multi_leader_runs, Fold::kSum, nullptr, false,
+     [](Point, Run o) {
+       return int64_t{o.properties.max_simultaneous_leaders >= 2};
+     }},
+    // Energy is spent whether or not the run reached liveness, so the radio
+    // use rows (and summaries) cover every run.
+    {&PointResult::energy_budget_violations, Fold::kSum, nullptr, false,
+     [](Point p, Run o) {
+       return int64_t{p.energy_budget >= 0 &&
+                      o.energy.max_awake_rounds > p.energy_budget};
+     }},
+    {&PointResult::broadcast_rounds, Fold::kSum, "broadcast_rounds", false,
+     [](Point, Run o) { return o.energy.broadcast_rounds; }},
+    {&PointResult::listen_rounds, Fold::kSum, "listen_rounds", false,
+     [](Point, Run o) { return o.energy.listen_rounds; }},
+    {&PointResult::sleep_rounds, Fold::kSum, "sleep_rounds", false,
+     [](Point, Run o) { return o.energy.sleep_rounds; }},
+    {&PointResult::offset_violations, Fold::kSum, nullptr, false,
+     [](Point, Run o) { return o.offset_violations; }},
+    {&PointResult::resync_count, Fold::kSum, "resync_corrections", false,
+     [](Point, Run o) { return o.resync_count; }},
+    {&PointResult::rounds_simulated, Fold::kSum, "rounds_simulated", false,
+     [](Point, Run o) { return o.rounds_simulated; }},
+    {&PointResult::deliveries, Fold::kSum, "deliveries", false,
+     [](Point, Run o) { return o.deliveries; }},
+    {&PointResult::collisions, Fold::kSum, "collisions", false,
+     [](Point, Run o) { return o.collisions; }},
+    {&PointResult::absences, Fold::kSum, "absences", false,
+     [](Point, Run o) { return o.absences; }},
+    {&PointResult::knockouts, Fold::kSum, "knockouts", false,
+     [](Point, Run o) { return o.knockouts; }},
+    {&PointResult::wake_events_popped, Fold::kSum, "wake_events_popped", true,
+     [](Point, Run o) { return o.wake_events_popped; }},
+    {&PointResult::fast_forwarded_rounds, Fold::kSum, "fast_forwarded_rounds",
+     true, [](Point, Run o) { return o.fast_forwarded_rounds; }},
+}};
+
+// Maintenance offsets cover every run too (all 0 without a maintenance
+// phase, so the summary stays well-defined for legacy points).
+constexpr std::array<SummaryField, 6> kSummaryFields = {{
+    {&PointResult::rounds_to_live, true,
+     [](Run o) { return static_cast<double>(o.rounds); }},
+    {&PointResult::max_node_latency, true,
+     [](Run o) {
+       RoundId worst = 0;
+       for (RoundId latency : o.sync_latency) worst = std::max(worst, latency);
+       return static_cast<double>(worst);
+     }},
+    {&PointResult::max_awake_rounds, false,
+     [](Run o) { return static_cast<double>(o.energy.max_awake_rounds); }},
+    {&PointResult::mean_awake_rounds, false,
+     [](Run o) { return o.energy.mean_awake_rounds; }},
+    {&PointResult::awake_fraction, false,
+     [](Run o) { return o.energy.awake_fraction(); }},
+    {&PointResult::max_offset, false,
+     [](Run o) { return static_cast<double>(o.max_offset_seen); }},
+}};
+
 PointResult aggregate_point(const ExperimentPoint& point,
                             const std::vector<RunOutcome>& outcomes) {
   PointResult result;
   result.point = point;
-  result.runs = static_cast<int>(outcomes.size());
-
-  std::vector<double> rounds;
-  std::vector<double> latencies;
-  std::vector<double> max_awake;
-  std::vector<double> mean_awake;
-  std::vector<double> awake_fraction;
-  std::vector<double> max_offsets;
-  for (const RunOutcome& outcome : outcomes) {
-    if (outcome.synced) {
-      ++result.synced_runs;
-      rounds.push_back(static_cast<double>(outcome.rounds));
-      RoundId worst = 0;
-      for (RoundId latency : outcome.sync_latency) {
-        worst = std::max(worst, latency);
+  for (const CountField& field : kCountFields) {
+    int64_t& total = result.*field.member;
+    for (const RunOutcome& outcome : outcomes) {
+      const int64_t value = field.per_run(point, outcome);
+      total = field.fold == Fold::kSum ? total + value
+                                       : std::max(total, value);
+    }
+  }
+  std::vector<double> samples;
+  samples.reserve(outcomes.size());
+  for (const SummaryField& field : kSummaryFields) {
+    samples.clear();
+    for (const RunOutcome& outcome : outcomes) {
+      if (!field.synced_only || outcome.synced) {
+        samples.push_back(field.sample(outcome));
       }
-      latencies.push_back(static_cast<double>(worst));
-    } else {
-      ++result.timeout_runs;
     }
-    result.agreement_violations += outcome.properties.agreement_violations;
-    result.commit_violations += outcome.properties.synch_commit_violations;
-    result.correctness_violations +=
-        outcome.properties.correctness_violations;
-    result.max_leaders = std::max(
-        result.max_leaders, outcome.properties.max_simultaneous_leaders);
-    if (outcome.properties.max_simultaneous_leaders >= 2) {
-      ++result.multi_leader_runs;
-    }
+    result.*field.member = summarize(samples);
+  }
+  for (const RunOutcome& outcome : outcomes) {
     result.max_broadcast_weight =
         std::max(result.max_broadcast_weight, outcome.max_broadcast_weight);
-
-    // Energy is spent whether or not the run reached liveness, so the radio
-    // use summaries cover every run (unlike rounds_to_live).
-    max_awake.push_back(static_cast<double>(outcome.energy.max_awake_rounds));
-    mean_awake.push_back(outcome.energy.mean_awake_rounds);
-    awake_fraction.push_back(outcome.energy.awake_fraction());
-    result.broadcast_rounds += outcome.energy.broadcast_rounds;
-    result.listen_rounds += outcome.energy.listen_rounds;
-    result.sleep_rounds += outcome.energy.sleep_rounds;
-    if (point.energy_budget >= 0 &&
-        outcome.energy.max_awake_rounds > point.energy_budget) {
-      ++result.energy_budget_violations;
-    }
-
-    // Maintenance offsets cover every run (all 0 without a maintenance
-    // phase, so the summary stays well-defined for legacy points).
-    max_offsets.push_back(static_cast<double>(outcome.max_offset_seen));
-    result.offset_violations += outcome.offset_violations;
-    result.resync_count += outcome.resync_count;
-
-    result.rounds_simulated += outcome.rounds_simulated;
-    result.deliveries += outcome.deliveries;
-    result.collisions += outcome.collisions;
-    result.absences += outcome.absences;
-    result.knockouts += outcome.knockouts;
-    result.wake_events_popped += outcome.wake_events_popped;
-    result.fast_forwarded_rounds += outcome.fast_forwarded_rounds;
   }
-  result.rounds_to_live = summarize(rounds);
-  result.max_node_latency = summarize(latencies);
-  result.max_awake_rounds = summarize(max_awake);
-  result.mean_awake_rounds = summarize(mean_awake);
-  result.awake_fraction = summarize(awake_fraction);
-  result.max_offset = summarize(max_offsets);
   return result;
 }
 

@@ -79,11 +79,12 @@ class TokenReader {
     return next(&token) && parse_double_bits(token, out);
   }
 
-  bool next_summary(Summary* s) {
-    return next_int(&s->count) && next_double_bits(&s->mean) &&
-           next_double_bits(&s->stddev) && next_double_bits(&s->min) &&
-           next_double_bits(&s->max) && next_double_bits(&s->p50) &&
-           next_double_bits(&s->p90) && next_double_bits(&s->p99);
+  /// The seven doubles of a Summary (the caller reads its count).
+  bool next_summary_doubles(Summary* s) {
+    return next_double_bits(&s->mean) && next_double_bits(&s->stddev) &&
+           next_double_bits(&s->min) && next_double_bits(&s->max) &&
+           next_double_bits(&s->p50) && next_double_bits(&s->p90) &&
+           next_double_bits(&s->p99);
   }
 
   bool at_end() {
@@ -109,24 +110,12 @@ uint64_t fnv1a64(const std::string& text, uint64_t seed) {
 std::string encode_chunk_line(const std::string& scenario,
                               size_t point_index, const PointResult& r) {
   std::ostringstream os;
-  os << "chunk " << scenario << ' ' << point_index << ' ' << r.runs << ' '
-     << r.synced_runs << ' ' << r.timeout_runs << ' '
-     << r.agreement_violations << ' ' << r.commit_violations << ' '
-     << r.correctness_violations << ' ' << r.max_leaders << ' '
-     << r.multi_leader_runs << ' ' << r.energy_budget_violations << ' '
-     << r.broadcast_rounds << ' ' << r.listen_rounds << ' '
-     << r.sleep_rounds << ' ' << r.offset_violations << ' '
-     << r.resync_count << ' ' << r.rounds_simulated << ' '
-     << r.deliveries << ' ' << r.collisions << ' ' << r.absences << ' '
-     << r.knockouts << ' ' << r.wake_events_popped << ' '
-     << r.fast_forwarded_rounds << ' '
-     << double_bits(r.max_broadcast_weight);
-  encode_summary(os, r.rounds_to_live);
-  encode_summary(os, r.max_node_latency);
-  encode_summary(os, r.max_awake_rounds);
-  encode_summary(os, r.mean_awake_rounds);
-  encode_summary(os, r.awake_fraction);
-  encode_summary(os, r.max_offset);
+  os << "chunk " << scenario << ' ' << point_index;
+  for (const CountField& field : kCountFields) os << ' ' << r.*field.member;
+  os << ' ' << double_bits(r.max_broadcast_weight);
+  for (const SummaryField& field : kSummaryFields) {
+    encode_summary(os, r.*field.member);
+  }
   std::string line = os.str();
   line += " #" + hex64(fnv1a64(line));
   return line;
@@ -147,34 +136,32 @@ std::string decode_chunk_line(const std::string& line, std::string* scenario,
   TokenReader reader(line.substr(0, marker));
   std::string tag;
   if (!reader.next(&tag) || tag != "chunk") return "not a chunk line";
+  constexpr char kMalformed[] = "malformed chunk fields";
+  if (!(reader.next(scenario) && reader.next_int(point_index))) {
+    return kMalformed;
+  }
+  // A valid checksum proves the line intact, not sane: counts must be
+  // non-negative and every run either synced or timed out (checked by
+  // subtraction, which cannot overflow once both counts are non-negative).
   PointResult r;
-  if (!(reader.next(scenario) && reader.next_int(point_index) &&
-        reader.next_int(&r.runs) && reader.next_int(&r.synced_runs) &&
-        reader.next_int(&r.timeout_runs) &&
-        reader.next_int(&r.agreement_violations) &&
-        reader.next_int(&r.commit_violations) &&
-        reader.next_int(&r.correctness_violations) &&
-        reader.next_int(&r.max_leaders) &&
-        reader.next_int(&r.multi_leader_runs) &&
-        reader.next_int(&r.energy_budget_violations) &&
-        reader.next_int(&r.broadcast_rounds) &&
-        reader.next_int(&r.listen_rounds) &&
-        reader.next_int(&r.sleep_rounds) &&
-        reader.next_int(&r.offset_violations) &&
-        reader.next_int(&r.resync_count) &&
-        reader.next_int(&r.rounds_simulated) &&
-        reader.next_int(&r.deliveries) && reader.next_int(&r.collisions) &&
-        reader.next_int(&r.absences) && reader.next_int(&r.knockouts) &&
-        reader.next_int(&r.wake_events_popped) &&
-        reader.next_int(&r.fast_forwarded_rounds) &&
-        reader.next_double_bits(&r.max_broadcast_weight) &&
-        reader.next_summary(&r.rounds_to_live) &&
-        reader.next_summary(&r.max_node_latency) &&
-        reader.next_summary(&r.max_awake_rounds) &&
-        reader.next_summary(&r.mean_awake_rounds) &&
-        reader.next_summary(&r.awake_fraction) &&
-        reader.next_summary(&r.max_offset) && reader.at_end())) {
-    return "malformed chunk fields";
+  bool negative = false;
+  for (const CountField& field : kCountFields) {
+    if (!reader.next_int(&(r.*field.member))) return kMalformed;
+    negative = negative || r.*field.member < 0;
+  }
+  if (!reader.next_double_bits(&r.max_broadcast_weight)) return kMalformed;
+  for (const SummaryField& field : kSummaryFields) {
+    Summary& summary = r.*field.member;
+    int64_t count = 0;
+    if (!reader.next_int(&count) || !reader.next_summary_doubles(&summary)) {
+      return kMalformed;
+    }
+    negative = negative || count < 0;
+    summary.count = static_cast<size_t>(count);
+  }
+  if (!reader.at_end()) return kMalformed;
+  if (negative || r.runs - r.synced_runs != r.timeout_runs) {
+    return "implausible chunk counts";
   }
   *result = r;
   return "";

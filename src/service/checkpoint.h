@@ -17,7 +17,8 @@
 // Doubles are serialized as their 64-bit IEEE bit patterns in hex, so a
 // resumed run re-renders byte-identical CSV/JSON from checkpointed chunks.
 // Loading is strict: a bad header, a fingerprint from a different plan, a
-// checksum mismatch, a malformed or duplicate chunk line all reject the
+// checksum mismatch, a malformed or duplicate chunk line, and counts no
+// sweep can produce (negative, or synced + timed-out != runs) all reject the
 // file (resume must never silently merge foreign results). The one
 // tolerated irregularity is a final line with no trailing newline — the
 // signature of a kill mid-append — which is dropped with a notice.
@@ -50,7 +51,9 @@ std::string encode_chunk_line(const std::string& scenario,
                               size_t point_index, const PointResult& result);
 
 /// Parses one chunk line (as produced by encode_chunk_line). Returns empty
-/// on success, else a human-readable reason ("checksum mismatch", ...).
+/// on success, else a human-readable reason ("checksum mismatch", ...;
+/// "implausible chunk counts" for a well-formed line whose counts no sweep
+/// can produce).
 std::string decode_chunk_line(const std::string& line, std::string* scenario,
                               size_t* point_index, PointResult* result);
 

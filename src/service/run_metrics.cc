@@ -7,40 +7,7 @@
 
 namespace wsync {
 
-namespace {
-
 using telemetry::MetricClass;
-
-void write_chunk_deterministic(std::ostream& out,
-                               const ChunkMetricsBlock& block,
-                               const std::string& indent) {
-  out << indent << "{\"scenario\": " << json_escaped(block.scenario)
-      << ", \"chunk_index\": " << block.chunk_index
-      << ", \"point_index\": " << block.point_index
-      << ", \"runs\": " << block.runs
-      << ", \"synced_runs\": " << block.synced_runs
-      << ", \"timeout_runs\": " << block.timeout_runs
-      << ", \"rounds_simulated\": " << block.rounds_simulated
-      << ", \"deliveries\": " << block.deliveries
-      << ", \"collisions\": " << block.collisions
-      << ", \"absences\": " << block.absences
-      << ", \"knockouts\": " << block.knockouts
-      << ", \"resync_corrections\": " << block.resync_corrections
-      << ", \"broadcast_rounds\": " << block.broadcast_rounds
-      << ", \"listen_rounds\": " << block.listen_rounds
-      << ", \"sleep_rounds\": " << block.sleep_rounds << "}";
-}
-
-void write_chunk_engine(std::ostream& out, const ChunkMetricsBlock& block,
-                        const std::string& indent) {
-  out << indent << "{\"scenario\": " << json_escaped(block.scenario)
-      << ", \"chunk_index\": " << block.chunk_index
-      << ", \"wake_events_popped\": " << block.wake_events_popped
-      << ", \"fast_forwarded_rounds\": " << block.fast_forwarded_rounds
-      << "}";
-}
-
-}  // namespace
 
 RunMetricsCollector::RunMetricsCollector(telemetry::MetricsRegistry* registry)
     : registry_(registry) {
@@ -50,69 +17,43 @@ RunMetricsCollector::RunMetricsCollector(telemetry::MetricsRegistry* registry)
 void RunMetricsCollector::add_chunk(const std::string& scenario,
                                     size_t point_index,
                                     const PointResult& result) {
-  ChunkMetricsBlock block;
-  block.scenario = scenario;
-  block.chunk_index = static_cast<int64_t>(chunks_.size());
-  block.point_index = static_cast<int64_t>(point_index);
-  block.runs = result.runs;
-  block.synced_runs = result.synced_runs;
-  block.timeout_runs = result.timeout_runs;
-  block.rounds_simulated = result.rounds_simulated;
-  block.deliveries = result.deliveries;
-  block.collisions = result.collisions;
-  block.absences = result.absences;
-  block.knockouts = result.knockouts;
-  block.resync_corrections = result.resync_count;
-  block.broadcast_rounds = result.broadcast_rounds;
-  block.listen_rounds = result.listen_rounds;
-  block.sleep_rounds = result.sleep_rounds;
-  block.wake_events_popped = result.wake_events_popped;
-  block.fast_forwarded_rounds = result.fast_forwarded_rounds;
-  chunks_.push_back(block);
-
-  auto& r = *registry_;
-  const auto det = MetricClass::kDeterministic;
-  r.counter("chunks_total", det).add(1);
-  r.counter("runs_total", det).add(block.runs);
-  r.counter("synced_runs_total", det).add(block.synced_runs);
-  r.counter("timeout_runs_total", det).add(block.timeout_runs);
-  r.counter("rounds_simulated_total", det).add(block.rounds_simulated);
-  r.counter("deliveries_total", det).add(block.deliveries);
-  r.counter("collisions_total", det).add(block.collisions);
-  r.counter("absences_total", det).add(block.absences);
-  r.counter("knockouts_total", det).add(block.knockouts);
-  r.counter("resync_corrections_total", det).add(block.resync_corrections);
-  r.counter("broadcast_rounds_total", det).add(block.broadcast_rounds);
-  r.counter("listen_rounds_total", det).add(block.listen_rounds);
-  r.counter("sleep_rounds_total", det).add(block.sleep_rounds);
-
-  const auto eng = MetricClass::kEngineDependent;
-  r.counter("wake_events_popped_total", eng).add(block.wake_events_popped);
-  r.counter("fast_forwarded_rounds_total", eng)
-      .add(block.fast_forwarded_rounds);
-}
-
-std::string RunMetricsCollector::deterministic_json() const {
-  std::ostringstream os;
-  os << "{\n  \"totals\": ";
-  registry_->write_class_json(os, MetricClass::kDeterministic, "  ");
-  os << ",\n  \"chunks\": [";
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n");
-    write_chunk_deterministic(os, chunks_[i], "    ");
+  Chunk& chunk = chunks_.emplace_back();
+  chunk.scenario = scenario;
+  chunk.point_index = point_index;
+  registry_->counter("chunks_total", MetricClass::kDeterministic).add(1);
+  for (size_t i = 0; i < kCountFields.size(); ++i) {
+    const CountField& field = kCountFields[i];
+    chunk.counts[i] = result.*field.member;
+    if (field.metric == nullptr) continue;
+    registry_
+        ->counter(std::string(field.metric) + "_total",
+                  field.engine_dependent ? MetricClass::kEngineDependent
+                                         : MetricClass::kDeterministic)
+        .add(chunk.counts[i]);
   }
-  os << (chunks_.empty() ? "" : "\n  ") << "]\n}";
-  return os.str();
 }
 
-std::string RunMetricsCollector::engine_json() const {
+std::string RunMetricsCollector::section_json(bool engine_dependent) const {
   std::ostringstream os;
   os << "{\n  \"totals\": ";
-  registry_->write_class_json(os, MetricClass::kEngineDependent, "  ");
+  registry_->write_class_json(os,
+                              engine_dependent ? MetricClass::kEngineDependent
+                                               : MetricClass::kDeterministic,
+                              "  ");
   os << ",\n  \"chunks\": [";
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n");
-    write_chunk_engine(os, chunks_[i], "    ");
+  for (size_t c = 0; c < chunks_.size(); ++c) {
+    const Chunk& chunk = chunks_[c];
+    os << (c == 0 ? "\n" : ",\n") << "    {\"scenario\": "
+       << json_escaped(chunk.scenario) << ", \"chunk_index\": " << c;
+    if (!engine_dependent) os << ", \"point_index\": " << chunk.point_index;
+    for (size_t i = 0; i < kCountFields.size(); ++i) {
+      const CountField& field = kCountFields[i];
+      if (field.metric != nullptr &&
+          field.engine_dependent == engine_dependent) {
+        os << ", \"" << field.metric << "\": " << chunk.counts[i];
+      }
+    }
+    os << "}";
   }
   os << (chunks_.empty() ? "" : "\n  ") << "]\n}";
   return os.str();

@@ -16,6 +16,8 @@
 #ifndef WSYNC_SERVICE_RUN_METRICS_H_
 #define WSYNC_SERVICE_RUN_METRICS_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -26,34 +28,11 @@
 
 namespace wsync {
 
-/// Deterministic metrics of one delivered chunk (in the streaming sweep a
-/// chunk is one (scenario, point) aggregate; chunk_index is the global
-/// delivery sequence number, which is itself deterministic: chunks are
-/// delivered in catalog order regardless of worker count).
-struct ChunkMetricsBlock {
-  std::string scenario;
-  int64_t chunk_index = 0;
-  int64_t point_index = 0;
-  int64_t runs = 0;
-  int64_t synced_runs = 0;
-  int64_t timeout_runs = 0;
-  int64_t rounds_simulated = 0;
-  int64_t deliveries = 0;
-  int64_t collisions = 0;
-  int64_t absences = 0;
-  int64_t knockouts = 0;
-  int64_t resync_corrections = 0;
-  int64_t broadcast_rounds = 0;
-  int64_t listen_rounds = 0;
-  int64_t sleep_rounds = 0;
-  // --- engine-dependent (exported under the "engine" section) -------------
-  int64_t wake_events_popped = 0;
-  int64_t fast_forwarded_rounds = 0;
-};
-
 /// Folds delivered chunks into per-chunk blocks plus registry totals, and
-/// renders the metrics document. Externally synchronized (all calls happen
-/// on the sweep's delivery thread).
+/// renders the metrics document. A chunk's block holds the kCountFields
+/// rows that name a metric; its chunk_index is the delivery sequence
+/// number, deterministic because chunks arrive in catalog order. Externally
+/// synchronized (all calls happen on the sweep's delivery thread).
 class RunMetricsCollector {
  public:
   /// `registry` must outlive the collector. Timing metrics registered by
@@ -66,23 +45,31 @@ class RunMetricsCollector {
   void add_chunk(const std::string& scenario, size_t point_index,
                  const PointResult& result);
 
-  const std::vector<ChunkMetricsBlock>& chunks() const { return chunks_; }
   telemetry::MetricsRegistry& registry() { return *registry_; }
 
   /// The engine- and worker-invariant block alone (totals + chunks):
   /// what the byte-identity walls compare.
-  std::string deterministic_json() const;
+  std::string deterministic_json() const { return section_json(false); }
 
   /// Worker-invariant-per-engine block (totals + chunks).
-  std::string engine_json() const;
+  std::string engine_json() const { return section_json(true); }
 
   /// Full document: {"schema": "wsync-metrics-v1", "deterministic": ...,
   /// "engine": ..., "timing": ...}.
   void write_json(std::ostream& out) const;
 
  private:
+  struct Chunk {
+    std::string scenario;
+    size_t point_index = 0;
+    std::array<int64_t, kCountFields.size()> counts{};  // kCountFields order
+  };
+
+  /// Renders the "totals" and "chunks" of one metrics section.
+  std::string section_json(bool engine_dependent) const;
+
   telemetry::MetricsRegistry* registry_;  // not owned
-  std::vector<ChunkMetricsBlock> chunks_;
+  std::vector<Chunk> chunks_;
 };
 
 }  // namespace wsync

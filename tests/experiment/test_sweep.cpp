@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "tests/testing/point_runner.h"
 
 namespace wsync {
@@ -176,6 +179,107 @@ TEST(SweepTest, CrashWavesFlowIntoTheRunSpecAndCrashNodes) {
     // were pre-sync contenders, so exactly they never report a number.
     EXPECT_EQ(never_synced, 2);
   }
+}
+
+/// One synthetic run outcome; every per-run value is scaled by `scale` so
+/// that each field's fold over three runs has a distinct total.
+RunOutcome synthetic_outcome(bool synced, int leaders, int64_t scale) {
+  RunOutcome o;
+  o.synced = synced;
+  o.rounds = 100 * scale;
+  o.sync_latency = {3 * scale, 9 * scale, -1};
+  o.properties.agreement_violations = 1 * scale;
+  o.properties.synch_commit_violations = 2 * scale;
+  o.properties.correctness_violations = 3 * scale;
+  o.properties.max_simultaneous_leaders = leaders;
+  o.max_broadcast_weight = 0.25 * static_cast<double>(scale);
+  o.energy.max_awake_rounds = 40 + scale;
+  o.energy.mean_awake_rounds = 20.0 * static_cast<double>(scale);
+  o.energy.broadcast_rounds = 10 * scale;
+  o.energy.listen_rounds = 30 * scale;
+  o.energy.sleep_rounds = 5 * scale;
+  o.energy.active_node_rounds = 80 * scale;
+  o.max_offset_seen = 2 * scale;
+  o.offset_violations = 4 * scale;
+  o.resync_count = 6 * scale;
+  o.rounds_simulated = 110 * scale;
+  o.deliveries = 7 * scale;
+  o.collisions = 8 * scale;
+  o.absences = 9 * scale;
+  o.knockouts = 11 * scale;
+  o.wake_events_popped = 12 * scale;
+  o.fast_forwarded_rounds = 13 * scale;
+  return o;
+}
+
+TEST(SweepTest, AggregatePointFoldsEveryTableField) {
+  ExperimentPoint point;
+  point.energy_budget = 50;
+  // Scales 1, 10, 100: run 2 times out, leaders are 1, 3, 2, and only run
+  // 3 (max awake 140) exceeds the budget; run 1 stays under it (41) and
+  // run 2 sits exactly on it (50).
+  const std::vector<RunOutcome> outcomes = {
+      synthetic_outcome(true, 1, 1), synthetic_outcome(false, 3, 10),
+      synthetic_outcome(true, 2, 100)};
+  const PointResult r = aggregate_point(point, outcomes);
+
+  const std::vector<std::pair<int64_t PointResult::*, int64_t>> expected = {
+      {&PointResult::runs, 3},
+      {&PointResult::synced_runs, 2},
+      {&PointResult::timeout_runs, 1},
+      {&PointResult::agreement_violations, 111},
+      {&PointResult::commit_violations, 222},
+      {&PointResult::correctness_violations, 333},
+      {&PointResult::max_leaders, 3},
+      {&PointResult::multi_leader_runs, 2},
+      {&PointResult::energy_budget_violations, 1},
+      {&PointResult::broadcast_rounds, 1110},
+      {&PointResult::listen_rounds, 3330},
+      {&PointResult::sleep_rounds, 555},
+      {&PointResult::offset_violations, 444},
+      {&PointResult::resync_count, 666},
+      {&PointResult::rounds_simulated, 12210},
+      {&PointResult::deliveries, 777},
+      {&PointResult::collisions, 888},
+      {&PointResult::absences, 999},
+      {&PointResult::knockouts, 1221},
+      {&PointResult::wake_events_popped, 1332},
+      {&PointResult::fast_forwarded_rounds, 1443},
+  };
+  ASSERT_EQ(expected.size(), kCountFields.size());
+  for (size_t i = 0; i < kCountFields.size(); ++i) {
+    const CountField& field = kCountFields[i];
+    bool checked = false;
+    for (const auto& [member, value] : expected) {
+      if (member != field.member) continue;
+      EXPECT_EQ(r.*member, value) << "count row " << i;
+      checked = true;
+    }
+    EXPECT_TRUE(checked) << "count row " << i << " has no expected value";
+  }
+  EXPECT_EQ(r.max_broadcast_weight, 25.0);
+
+  // Summaries: liveness measures over the two synced runs only, the rest
+  // over all three.
+  EXPECT_EQ(r.rounds_to_live.count, 2u);
+  EXPECT_EQ(r.rounds_to_live.mean, 5050.0);
+  EXPECT_EQ(r.rounds_to_live.min, 100.0);
+  EXPECT_EQ(r.rounds_to_live.max, 10000.0);
+  EXPECT_EQ(r.max_node_latency.count, 2u);
+  EXPECT_EQ(r.max_node_latency.min, 9.0);
+  EXPECT_EQ(r.max_node_latency.max, 900.0);
+  EXPECT_EQ(r.max_awake_rounds.count, 3u);
+  EXPECT_EQ(r.max_awake_rounds.min, 41.0);
+  EXPECT_EQ(r.max_awake_rounds.max, 140.0);
+  EXPECT_EQ(r.mean_awake_rounds.count, 3u);
+  EXPECT_EQ(r.mean_awake_rounds.min, 20.0);
+  EXPECT_EQ(r.mean_awake_rounds.max, 2000.0);
+  EXPECT_EQ(r.awake_fraction.count, 3u);
+  EXPECT_EQ(r.awake_fraction.min, 0.5);  // (10 + 30) / 80 at every scale
+  EXPECT_EQ(r.awake_fraction.max, 0.5);
+  EXPECT_EQ(r.max_offset.count, 3u);
+  EXPECT_EQ(r.max_offset.min, 2.0);
+  EXPECT_EQ(r.max_offset.max, 200.0);
 }
 
 TEST(SweepTest, PredictionHelpers) {

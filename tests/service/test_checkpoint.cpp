@@ -12,13 +12,15 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <set>
+#include <sstream>
 #include <string>
 
 namespace wsync {
 namespace {
 
-/// A PointResult with every serialized field nonzero and awkward doubles
-/// in the summaries.
+/// A PointResult with every kCountFields row set to a distinct nonzero
+/// value, distinct Summary rows, and awkward doubles in the summaries.
 PointResult fancy_result() {
   PointResult r;
   r.runs = 12;
@@ -29,25 +31,84 @@ PointResult fancy_result() {
   r.correctness_violations = 4;
   r.max_leaders = 5;
   r.multi_leader_runs = 6;
-  r.max_broadcast_weight = 1.0 / 3.0;
+  r.energy_budget_violations = 7;
   r.broadcast_rounds = 700;
   r.listen_rounds = 800;
   r.sleep_rounds = 900;
-  r.energy_budget_violations = 7;
+  r.offset_violations = 13;
+  r.resync_count = 14;
+  r.rounds_simulated = 1500;
+  r.deliveries = 1600;
+  r.collisions = 1700;
+  r.absences = 1800;
+  r.knockouts = 1900;
+  r.wake_events_popped = 2000;
+  r.fast_forwarded_rounds = 2100;
+  r.max_broadcast_weight = 1.0 / 3.0;
   r.rounds_to_live = {11, 1.5, 0.25, -0.0, 1e300, 2.5, 3.5, 4.5};
-  r.max_node_latency = {11, std::numeric_limits<double>::infinity(),
+  r.max_node_latency = {10, std::numeric_limits<double>::infinity(),
                         std::numeric_limits<double>::quiet_NaN(),
                         std::numeric_limits<double>::denorm_min(),
                         -std::numeric_limits<double>::infinity(), 0.1, 0.2,
                         0.3};
   r.max_awake_rounds = {12, 5.0, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0};
-  r.mean_awake_rounds = {12, 4.5, 0.5, 4.0, 5.0, 4.5, 5.0, 5.0};
-  r.awake_fraction = {12, 0.25, 0.0, 0.25, 0.25, 0.25, 0.25, 0.25};
-  r.offset_violations = 13;
-  r.resync_count = 14;
-  r.max_offset = {12, 2.5, 0.5, 1.0, 4.0, 2.0, 3.0, 4.0};
+  r.mean_awake_rounds = {9, 4.5, 0.5, 4.0, 5.0, 4.5, 5.0, 5.0};
+  r.awake_fraction = {8, 0.25, 0.0, 0.25, 0.25, 0.25, 0.25, 0.25};
+  r.max_offset = {7, 2.5, 0.5, 1.0, 4.0, 2.0, 3.0, 4.0};
   return r;
 }
+
+/// encode_chunk_line("fancy_scenario", 17, fancy_result()) in the v3
+/// layout, captured from the field-by-field encoder the tables replaced:
+/// reordering or miswiring a table row changes these bytes.
+constexpr char kFancyV3Line[] =
+    "chunk fancy_scenario 17 12 11 1 2 3 4 5 6 7 700 800 900 13 14 "
+    "1500 1600 1700 1800 1900 2000 2100 3fd5555555555555 11 "
+    "3ff8000000000000 3fd0000000000000 8000000000000000 "
+    "7e37e43c8800759c 4004000000000000 400c000000000000 "
+    "4012000000000000 10 7ff0000000000000 7ff8000000000000 "
+    "0000000000000001 fff0000000000000 3fb999999999999a "
+    "3fc999999999999a 3fd3333333333333 12 4014000000000000 "
+    "0000000000000000 4014000000000000 4014000000000000 "
+    "4014000000000000 4014000000000000 4014000000000000 9 "
+    "4012000000000000 3fe0000000000000 4010000000000000 "
+    "4014000000000000 4012000000000000 4014000000000000 "
+    "4014000000000000 8 3fd0000000000000 0000000000000000 "
+    "3fd0000000000000 3fd0000000000000 3fd0000000000000 "
+    "3fd0000000000000 3fd0000000000000 7 4004000000000000 "
+    "3fe0000000000000 3ff0000000000000 4010000000000000 "
+    "4000000000000000 4008000000000000 4010000000000000 "
+    "#b8df51447f0a9343";
+
+/// `payload` (a chunk line without its checksum) with a valid checksum
+/// appended: what a hostile or buggy writer could produce.
+std::string rechecksummed(const std::string& payload) {
+  char checksum[32];
+  std::snprintf(checksum, sizeof(checksum), " #%016llx",
+                static_cast<unsigned long long>(fnv1a64(payload)));
+  return payload + checksum;
+}
+
+/// The fancy chunk line with whitespace token `index` (0 is "chunk")
+/// replaced by `value`, re-checksummed.
+std::string fancy_line_with(size_t index, const std::string& value) {
+  const std::string line = encode_chunk_line("fancy_scenario", 17,
+                                             fancy_result());
+  std::istringstream in(line.substr(0, line.rfind(" #")));
+  std::string payload;
+  std::string token;
+  for (size_t i = 0; in >> token; ++i) {
+    payload += (i == 0 ? "" : " ") + (i == index ? value : token);
+  }
+  return rechecksummed(payload);
+}
+
+// Token positions in a chunk line: "chunk", scenario, point index, the
+// kCountFields rows, max_broadcast_weight, then 8 tokens per Summary row
+// (count first).
+constexpr size_t kFirstCountToken = 3;
+constexpr size_t kFirstSummaryToken =
+    kFirstCountToken + kCountFields.size() + 1;
 
 void expect_bit_identical(const Summary& a, const Summary& b) {
   EXPECT_EQ(a.count, b.count);
@@ -60,7 +121,14 @@ void expect_bit_identical(const Summary& a, const Summary& b) {
 
 TEST(CheckpointCodec, ChunkLineRoundTripsBitExactly) {
   const PointResult original = fancy_result();
+  std::set<int64_t> distinct;
+  for (const CountField& field : kCountFields) {
+    EXPECT_NE(original.*field.member, 0);
+    distinct.insert(original.*field.member);
+  }
+  ASSERT_EQ(distinct.size(), kCountFields.size());
   const std::string line = encode_chunk_line("fancy_scenario", 17, original);
+  EXPECT_EQ(line, kFancyV3Line);
 
   std::string scenario;
   size_t point_index = 0;
@@ -68,29 +136,52 @@ TEST(CheckpointCodec, ChunkLineRoundTripsBitExactly) {
   ASSERT_EQ(decode_chunk_line(line, &scenario, &point_index, &decoded), "");
   EXPECT_EQ(scenario, "fancy_scenario");
   EXPECT_EQ(point_index, 17u);
-  EXPECT_EQ(decoded.runs, original.runs);
-  EXPECT_EQ(decoded.synced_runs, original.synced_runs);
-  EXPECT_EQ(decoded.timeout_runs, original.timeout_runs);
-  EXPECT_EQ(decoded.agreement_violations, original.agreement_violations);
-  EXPECT_EQ(decoded.commit_violations, original.commit_violations);
-  EXPECT_EQ(decoded.correctness_violations, original.correctness_violations);
-  EXPECT_EQ(decoded.max_leaders, original.max_leaders);
-  EXPECT_EQ(decoded.multi_leader_runs, original.multi_leader_runs);
+  for (size_t i = 0; i < kCountFields.size(); ++i) {
+    const auto member = kCountFields[i].member;
+    EXPECT_EQ(decoded.*member, original.*member) << "count row " << i;
+  }
   EXPECT_EQ(std::bit_cast<uint64_t>(decoded.max_broadcast_weight),
             std::bit_cast<uint64_t>(original.max_broadcast_weight));
-  EXPECT_EQ(decoded.broadcast_rounds, original.broadcast_rounds);
-  EXPECT_EQ(decoded.listen_rounds, original.listen_rounds);
-  EXPECT_EQ(decoded.sleep_rounds, original.sleep_rounds);
-  EXPECT_EQ(decoded.energy_budget_violations,
-            original.energy_budget_violations);
-  expect_bit_identical(decoded.rounds_to_live, original.rounds_to_live);
-  expect_bit_identical(decoded.max_node_latency, original.max_node_latency);
-  expect_bit_identical(decoded.max_awake_rounds, original.max_awake_rounds);
-  expect_bit_identical(decoded.mean_awake_rounds, original.mean_awake_rounds);
-  expect_bit_identical(decoded.awake_fraction, original.awake_fraction);
-  EXPECT_EQ(decoded.offset_violations, original.offset_violations);
-  EXPECT_EQ(decoded.resync_count, original.resync_count);
-  expect_bit_identical(decoded.max_offset, original.max_offset);
+  for (size_t i = 0; i < kSummaryFields.size(); ++i) {
+    SCOPED_TRACE("summary row " + std::to_string(i));
+    const auto member = kSummaryFields[i].member;
+    expect_bit_identical(decoded.*member, original.*member);
+  }
+}
+
+TEST(CheckpointCodec, ImplausibleCountsAreRejectedEvenWithValidChecksum) {
+  std::string scenario;
+  size_t point_index = 0;
+  PointResult decoded;
+  // Sanity: the unmodified line decodes, so each rejection below is due to
+  // the one edited token.
+  ASSERT_EQ(decode_chunk_line(fancy_line_with(0, "chunk"), &scenario,
+                              &point_index, &decoded),
+            "");
+  for (size_t i = 0; i < kCountFields.size(); ++i) {
+    EXPECT_EQ(decode_chunk_line(fancy_line_with(kFirstCountToken + i, "-5"),
+                                &scenario, &point_index, &decoded),
+              "implausible chunk counts")
+        << "count row " << i;
+  }
+  for (size_t i = 0; i < kSummaryFields.size(); ++i) {
+    EXPECT_EQ(decode_chunk_line(fancy_line_with(kFirstSummaryToken + 8 * i,
+                                                "-1"),
+                                &scenario, &point_index, &decoded),
+              "implausible chunk counts")
+        << "summary row " << i;
+  }
+  // runs must equal synced_runs + timeout_runs (12 = 11 + 1 in the fancy
+  // result); each of the three edited alone breaks the identity, also at
+  // INT64_MAX, where a naive sum would overflow.
+  for (const char* value : {"40", "9223372036854775807"}) {
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(decode_chunk_line(fancy_line_with(kFirstCountToken + i, value),
+                                  &scenario, &point_index, &decoded),
+                "implausible chunk counts")
+          << "count row " << i << " = " << value;
+    }
+  }
 }
 
 TEST(CheckpointCodec, FlippedByteFailsTheChecksum) {
@@ -124,14 +215,11 @@ TEST(CheckpointCodec, TruncatedFieldsAreRejectedEvenWithValidChecksum) {
   const size_t marker = line.rfind(" #");
   std::string payload = line.substr(0, marker);
   payload = payload.substr(0, payload.rfind(' '));  // drop the last field
-  char checksum[32];
-  std::snprintf(checksum, sizeof(checksum), " #%016llx",
-                static_cast<unsigned long long>(fnv1a64(payload)));
   std::string scenario;
   size_t point_index = 0;
   PointResult decoded;
-  EXPECT_EQ(decode_chunk_line(payload + checksum, &scenario, &point_index,
-                              &decoded),
+  EXPECT_EQ(decode_chunk_line(rechecksummed(payload), &scenario,
+                              &point_index, &decoded),
             "malformed chunk fields");
 }
 
