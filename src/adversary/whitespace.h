@@ -27,7 +27,8 @@ class WhitespaceAdversary final : public Adversary {
   struct Params {
     int n = 1;          ///< number of nodes (one mask each)
     int available = 1;  ///< channels available per node, 1 <= available <= F
-    int shared = 1;     ///< channels common to ALL nodes, 1 <= shared <= available
+    int shared = 1;     ///< channels common to ALL nodes,
+                        ///< 1 <= shared <= available
     int jam_count = 0;  ///< additionally jam this many random channels/round
   };
 

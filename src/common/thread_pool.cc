@@ -120,8 +120,9 @@ void ThreadPool::worker_loop(size_t index) {
 
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(sleep_mutex_);
-  idle_cv_.wait(lock,
-                [this] { return pending_.load(std::memory_order_acquire) == 0; });
+  idle_cv_.wait(lock, [this] {
+    return pending_.load(std::memory_order_acquire) == 0;
+  });
 }
 
 void parallel_for(ThreadPool& pool, size_t count,

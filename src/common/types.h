@@ -89,18 +89,19 @@ struct CrashWave {
                                    const CrashWave&) = default;
 };
 
-/// Which round-loop implementation the simulation engine runs.
+/// Which cohort the simulation engine's one round body visits.
 ///
-/// kDense is the reference loop: every node is visited every round. kSparse
-/// drives a wake-event queue so per-round cost scales with the awake cohort;
-/// it is required to be bit-identical to kDense for every execution (the
-/// dense↔sparse equivalence contract in docs/ARCHITECTURE.md). kAuto picks
-/// the sparse engine, which transparently degrades to a dense-equivalent
-/// walk for always-on protocols.
+/// kDense is the reference: every node, every round, with no wake queue,
+/// skipped spans, lazy ledger or fast-forward. kSparse visits only the
+/// awake cohort a wake-event queue yields, so per-round cost scales with
+/// it; it is required to be bit-identical to kDense for every execution
+/// (the dense↔sparse equivalence contract in docs/ARCHITECTURE.md). kAuto
+/// picks the sparse engine, which transparently degrades to a
+/// dense-equivalent walk for always-on protocols.
 enum class EngineMode : uint8_t {
   kAuto,    ///< sparse machinery; dense-equivalent for always-on protocols
-  kDense,   ///< reference per-node round loop
-  kSparse,  ///< wake-event queue over SoA node state
+  kDense,   ///< reference cohort: every node, every round
+  kSparse,  ///< wake-event cohort over SoA node state
 };
 
 /// Printable name for an engine mode (stable, for CLI flags and tests).

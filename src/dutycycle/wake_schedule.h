@@ -1,5 +1,6 @@
 // Deterministic multi-scale wake schedule for duty-cycled synchronizers
-// (the Bradonjić–Kohler–Ostrovsky regime: radios that are OFF most rounds).
+// (the Bradonjić–Kohler–Ostrovsky regime: radios that are OFF most
+// rounds).
 //
 // A node's local time (age = rounds since activation) is split into two
 // phases:

@@ -70,7 +70,8 @@ struct PointResult {
   // (v3), so resumed sweeps replay identical metric blocks.
   int64_t rounds_simulated = 0;   ///< engine rounds elapsed, incl. maintenance
   int64_t deliveries = 0;         ///< listener receptions
-  int64_t collisions = 0;         ///< freq-rounds with >= 2 reaching broadcasters
+  int64_t collisions = 0;         ///< freq-rounds with >= 2 reaching
+                                  ///< broadcasters
   int64_t absences = 0;           ///< choices voided by a whitespace mask
   int64_t knockouts = 0;          ///< live nodes ending a run knocked out
   // Engine-dependent (reproducible per engine; 0 under the dense engine).

@@ -33,7 +33,8 @@ struct ProtocolEnv {
   int F = 1;         ///< number of frequencies
   int t = 0;         ///< max frequencies disrupted per round
   int64_t N = 1;     ///< known upper bound on the number of nodes
-  uint64_t uid = 0;  ///< this node's unique identifier (random, collision-free whp)
+  uint64_t uid = 0;  ///< this node's unique identifier (random,
+                     ///< collision-free whp)
   NodeId node_id = kNoNode;  ///< engine-level id; for tracing only, protocols
                              ///< must not base behaviour on it
   /// This node's oscillator drift rate in signed ppm (src/drift/drift.h):

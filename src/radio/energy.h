@@ -1,4 +1,5 @@
-// Per-node radio-use accounting (the Bradonjić–Kohler–Ostrovsky cost axis).
+// Per-node radio-use accounting (the Bradonjić–Kohler–Ostrovsky cost
+// axis).
 //
 // The source paper charges contention under adversarial jamming; its closest
 // relatives charge *radio use*: Bradonjić–Kohler–Ostrovsky ("Near-Optimal

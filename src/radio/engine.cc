@@ -1,6 +1,7 @@
 #include "src/radio/engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "src/common/require.h"
@@ -59,7 +60,8 @@ Simulation::Simulation(const SimConfig& config, ProtocolFactory factory,
   protocols_.resize(count);
   node_rng_.reserve(count);
   for (int i = 0; i < config_.n; ++i) {
-    node_rng_.push_back(master.fork(kNodeStreamBase + static_cast<uint64_t>(i)));
+    node_rng_.push_back(
+        master.fork(kNodeStreamBase + static_cast<uint64_t>(i)));
   }
   node_active_.assign(count, 0);
   node_crashed_.assign(count, 0);
@@ -71,6 +73,11 @@ Simulation::Simulation(const SimConfig& config, ProtocolFactory factory,
   node_reached_.assign(count, 0);
   node_sparse_.assign(count, 0);
   node_settled_.assign(count, 0);
+  if (!sparse_) {
+    // The dense engine's cohort: every node, every round, in id order.
+    cohort_.resize(count);
+    std::iota(cohort_.begin(), cohort_.end(), 0);
+  }
 
   view_.F_ = config_.F;
   view_.t_ = config_.t;
@@ -108,8 +115,8 @@ void Simulation::activate_pending(RoundId r) {
     protocols_[i]->on_activate(node_rng_[i]);
     ++active_count_;
     ++activated_total_;
+    node_settled_[i] = r;
     if (sparse_) {
-      node_settled_[i] = r;
       const std::optional<int64_t> horizon = protocols_[i]->asleep_for();
       if (!horizon.has_value()) {
         // No wake prediction: keep the node on the always-visited list
@@ -143,21 +150,50 @@ std::vector<Frequency> Simulation::validated_disruption() {
   return disrupted;
 }
 
-RoundReport Simulation::step() {
-  return sparse_ ? step_sparse() : step_dense();
+void Simulation::build_cohort(RoundId r) {
+  // Due wake events, minus events orphaned by crashes, plus the always-
+  // visited nodes — in ascending node id, because the dense cohort is every
+  // node in id order and bit-identity needs the same float-summation order,
+  // the same first-broadcaster payload capture, and the same trace-event
+  // order.
+  due_.clear();
+  wake_queue_.collect(r, &due_);
+  wake_events_popped_ += static_cast<int64_t>(due_.size());
+  due_.erase(std::remove_if(
+                 due_.begin(), due_.end(),
+                 [&](NodeId id) {
+                   return node_crashed_[static_cast<size_t>(id)] != 0;
+                 }),
+             due_.end());
+  // Buckets accumulate ascending runs (each source round reschedules in id
+  // order), so they are often already sorted.
+  if (!std::is_sorted(due_.begin(), due_.end())) {
+    std::sort(due_.begin(), due_.end());
+  }
+  cohort_.clear();
+  cohort_.resize(due_.size() + always_awake_.size());
+  std::merge(due_.begin(), due_.end(), always_awake_.begin(),
+             always_awake_.end(), cohort_.begin());
 }
 
-RoundReport Simulation::step_dense() {
+RoundReport Simulation::step() {
   const RoundId r = view_.round_;
+
+  // One round body for both engines; only the cohort differs — every node
+  // under the dense engine, the awake cohort under the sparse one.
+  // Everything a non-cohort node would have done this round (sleep action,
+  // ++age, implicit sleep charge) is replayed bit-identically when the node
+  // is next visited or observed.
 
   // (1) Adversary commits its disruption before seeing round-r choices.
   std::vector<Frequency> disrupted = validated_disruption();
 
-  // (2) Adversary activates nodes for this round.
+  // (2) Adversary activates nodes for this round (may schedule wake events
+  // for this very round — build_cohort() below picks them up).
   activate_pending(r);
   const int activations_this_round = view_.last_round_.activations;
 
-  // (3) Collect node actions.
+  // (3) Collect the cohort's actions.
   std::fill(broadcaster_count_.begin(), broadcaster_count_.end(), 0);
   std::fill(sole_broadcaster_.begin(), sole_broadcaster_.end(), kNoNode);
   std::fill(disrupted_flag_.begin(), disrupted_flag_.end(), 0);
@@ -176,17 +212,31 @@ RoundReport Simulation::step_dense() {
   // skip the per-(node, frequency) queries entirely otherwise.
   const bool masked = adversary_->restricts_availability();
 
+  if (sparse_) build_cohort(r);
+
   double weight = 0.0;
   int broadcasters_total = 0;
   int absences_total = 0;
-  for (int i = 0; i < config_.n; ++i) {
+  for (NodeId i : cohort_) {
     const auto ni = static_cast<size_t>(i);
     node_freq_[ni] = kNoFrequency;
     node_broadcast_[ni] = 0;
     node_reached_[ni] = 0;
     if (node_active_[ni] == 0 || node_crashed_[ni] != 0) {
+      // Only the dense cohort holds inactive and crashed nodes.
       energy_.record(i, RadioState::kSleep);
       continue;
+    }
+    // Replay the asleep span since the node was last visited (never under
+    // the dense engine). Asleep rounds contribute exactly +0.0 broadcast
+    // weight and no rng draws, so the cohort-only walk stays bit-identical
+    // to the every-node one.
+    if (node_settled_[ni] < r) {
+      protocols_[ni]->skip_rounds(r - node_settled_[ni]);
+      node_settled_[ni] = r;
+      // node_last_output_ still holds the pre-sleep value; has_number() is
+      // invariant across asleep rounds, so the synced_live_ comparison in
+      // phase (5) below stays exact, and the value itself is refreshed there.
     }
 
     weight += protocols_[ni]->broadcast_probability();
@@ -242,209 +292,15 @@ RoundReport Simulation::step_dense() {
     if (fs.broadcasters >= 2) ++collisions_this_round;
   }
 
-  // (5) Deliver and close the round for every active node.
+  // (5) Deliver, close the round for the cohort, requeue its wake events.
   int deliveries = 0;
-  for (int i = 0; i < config_.n; ++i) {
+  for (NodeId i : cohort_) {
     const auto ni = static_cast<size_t>(i);
     if (node_active_[ni] == 0 || node_crashed_[ni] != 0) continue;
 
     std::optional<Message> received;
     // Reception needs a listener that actually reached its channel (neither
     // sleeping nor excluded by a whitespace mask).
-    if (node_broadcast_[ni] == 0 && node_freq_[ni] != kNoFrequency &&
-        node_reached_[ni] != 0) {
-      const auto fi = static_cast<size_t>(node_freq_[ni]);
-      if (stats.per_freq[fi].delivered) {
-        Message m;
-        m.sender = sole_broadcaster_[fi];
-        m.frequency = node_freq_[ni];
-        m.payload = pending_payload_[fi];
-        received = std::move(m);
-        ++deliveries;
-        ++view_.deliveries_per_freq_[fi];
-        if (trace_ != nullptr) {
-          trace_->on_delivery(DeliveryTraceEvent{r, node_freq_[ni],
-                                                 sole_broadcaster_[fi], i});
-        }
-      }
-    }
-    protocols_[ni]->on_round_end(received, node_rng_[ni]);
-
-    const SyncOutput out = protocols_[ni]->output();
-    if (out.has_number() && node_sync_round_[ni] < 0) {
-      node_sync_round_[ni] = r;
-      if (trace_ != nullptr) trace_->on_synchronized(r, i, out.value);
-    }
-    node_last_output_[ni] = out;
-  }
-  stats.deliveries = deliveries;
-  energy_.end_round();
-
-  // (6) Publish history for the adversary and the trace.
-  view_.last_round_ = stats;
-  view_.round_ = r + 1;
-  view_.active_count_ = active_count_ - crashed_count_;
-
-  if (trace_ != nullptr) {
-    RoundTraceEvent event;
-    event.round = r;
-    event.disrupted = std::move(disrupted);
-    event.stats = stats;
-    event.broadcast_weight = weight;
-    event.active_nodes = active_count_ - crashed_count_;
-    trace_->on_round(event);
-  }
-
-  deliveries_total_ += deliveries;
-  collisions_total_ += collisions_this_round;
-  absences_total_ += absences_total;
-
-  RoundReport report;
-  report.round = r;
-  report.activations = activations_this_round;
-  report.deliveries = deliveries;
-  report.broadcasters = broadcasters_total;
-  report.absences = absences_total;
-  report.collisions = collisions_this_round;
-  report.broadcast_weight = weight;
-  return report;
-}
-
-void Simulation::build_cohort(RoundId r) {
-  // Due wake events, minus events orphaned by crashes, plus the always-
-  // visited nodes — in ascending node id, because dense iterates nodes in id
-  // order and bit-identity needs the same float-summation order, the same
-  // first-broadcaster payload capture, and the same trace-event order.
-  due_.clear();
-  wake_queue_.collect(r, &due_);
-  wake_events_popped_ += static_cast<int64_t>(due_.size());
-  due_.erase(std::remove_if(
-                 due_.begin(), due_.end(),
-                 [&](NodeId id) {
-                   return node_crashed_[static_cast<size_t>(id)] != 0;
-                 }),
-             due_.end());
-  // Buckets accumulate ascending runs (each source round reschedules in id
-  // order), so they are often already sorted.
-  if (!std::is_sorted(due_.begin(), due_.end())) {
-    std::sort(due_.begin(), due_.end());
-  }
-  cohort_.clear();
-  cohort_.resize(due_.size() + always_awake_.size());
-  std::merge(due_.begin(), due_.end(), always_awake_.begin(),
-             always_awake_.end(), cohort_.begin());
-}
-
-RoundReport Simulation::step_sparse() {
-  const RoundId r = view_.round_;
-
-  // Phases mirror step_dense() exactly; only the iteration domain changes —
-  // the awake cohort instead of all n nodes. Everything a non-cohort node
-  // would have done this round (sleep action, ++age, implicit sleep charge)
-  // is replayed bit-identically when the node is next visited or observed.
-
-  // (1) Adversary commits its disruption before seeing round-r choices.
-  std::vector<Frequency> disrupted = validated_disruption();
-
-  // (2) Adversary activates nodes for this round (may schedule wake events
-  // for this very round — build_cohort() below picks them up).
-  activate_pending(r);
-  const int activations_this_round = view_.last_round_.activations;
-
-  // (3) Collect actions from the awake cohort.
-  std::fill(broadcaster_count_.begin(), broadcaster_count_.end(), 0);
-  std::fill(sole_broadcaster_.begin(), sole_broadcaster_.end(), kNoNode);
-  std::fill(disrupted_flag_.begin(), disrupted_flag_.end(), 0);
-  for (Frequency f : disrupted) disrupted_flag_[static_cast<size_t>(f)] = 1;
-
-  RoundStats stats;
-  stats.round = r;
-  stats.per_freq.assign(static_cast<size_t>(config_.F), FreqRoundStats{});
-  for (int f = 0; f < config_.F; ++f) {
-    stats.per_freq[static_cast<size_t>(f)].disrupted =
-        disrupted_flag_[static_cast<size_t>(f)] != 0;
-  }
-  stats.activations = activations_this_round;
-
-  const bool masked = adversary_->restricts_availability();
-
-  build_cohort(r);
-
-  double weight = 0.0;
-  int broadcasters_total = 0;
-  int absences_total = 0;
-  for (NodeId i : cohort_) {
-    const auto ni = static_cast<size_t>(i);
-    node_freq_[ni] = kNoFrequency;
-    node_broadcast_[ni] = 0;
-    node_reached_[ni] = 0;
-    // Replay the asleep span since the node was last visited. Asleep rounds
-    // contribute exactly +0.0 broadcast weight and no rng draws, so the
-    // cohort-only walk stays bit-identical to the dense one.
-    if (node_settled_[ni] < r) {
-      protocols_[ni]->skip_rounds(r - node_settled_[ni]);
-      node_settled_[ni] = r;
-      // node_last_output_ still holds the pre-sleep value; has_number() is
-      // invariant across asleep rounds, so the synced_live_ comparison in
-      // phase (5) below stays exact, and the value itself is refreshed there.
-    }
-
-    weight += protocols_[ni]->broadcast_probability();
-    RoundAction action = protocols_[ni]->act(node_rng_[ni]);
-    WSYNC_REQUIRE(action.broadcast == action.payload.has_value(),
-                  "broadcast implies payload and listen implies none");
-    if (action.is_sleep()) {
-      energy_.record(i, RadioState::kSleep);
-      continue;
-    }
-    WSYNC_REQUIRE(action.frequency >= 0 && action.frequency < config_.F,
-                  "protocol chose a frequency outside [0, F)");
-    node_freq_[ni] = action.frequency;
-    node_broadcast_[ni] = action.broadcast ? 1 : 0;
-    energy_.record(i, action.broadcast ? RadioState::kBroadcast
-                                       : RadioState::kListen);
-
-    const auto fi = static_cast<size_t>(action.frequency);
-    FreqRoundStats& fs = stats.per_freq[fi];
-    node_reached_[ni] =
-        (!masked || adversary_->channel_available(i, action.frequency)) ? 1
-                                                                        : 0;
-    if (node_reached_[ni] == 0) {
-      ++fs.absent;
-      ++absences_total;
-      continue;
-    }
-    if (action.broadcast) {
-      ++broadcasters_total;
-      ++fs.broadcasters;
-      ++broadcaster_count_[fi];
-      if (broadcaster_count_[fi] == 1) {
-        sole_broadcaster_[fi] = i;
-        pending_payload_[fi] = std::move(*action.payload);
-      } else {
-        sole_broadcaster_[fi] = kNoNode;  // collision
-      }
-    } else {
-      ++fs.listeners;
-      ++view_.listens_per_freq_[fi];
-    }
-  }
-
-  // (4) Per-frequency resolution: exactly one broadcaster, not disrupted.
-  int collisions_this_round = 0;
-  for (int f = 0; f < config_.F; ++f) {
-    const auto fi = static_cast<size_t>(f);
-    FreqRoundStats& fs = stats.per_freq[fi];
-    fs.delivered = fs.broadcasters == 1 && !fs.disrupted;
-    if (fs.broadcasters >= 2) ++collisions_this_round;
-  }
-
-  // (5) Deliver, close the round for the cohort, requeue its wake events.
-  int deliveries = 0;
-  for (NodeId i : cohort_) {
-    const auto ni = static_cast<size_t>(i);
-
-    std::optional<Message> received;
     if (node_broadcast_[ni] == 0 && node_freq_[ni] != kNoFrequency &&
         node_reached_[ni] != 0) {
       const auto fi = static_cast<size_t>(node_freq_[ni]);
@@ -486,7 +342,13 @@ RoundReport Simulation::step_sparse() {
     }
   }
   stats.deliveries = deliveries;
-  energy_.end_round_lazy();
+  // The dense cohort recorded every node, so its rounds keep the strict
+  // per-round conservation check.
+  if (sparse_) {
+    energy_.end_round_lazy();
+  } else {
+    energy_.end_round();
+  }
 
   // (6) Publish history for the adversary and the trace.
   view_.last_round_ = stats;
@@ -519,7 +381,6 @@ RoundReport Simulation::step_sparse() {
 }
 
 void Simulation::settle_node(NodeId id) const {
-  if (!sparse_) return;
   const auto ni = static_cast<size_t>(id);
   if (node_active_[ni] == 0 || node_crashed_[ni] != 0) return;
   const RoundId now = view_.round_;
@@ -676,7 +537,8 @@ Role Simulation::role(NodeId id) const {
 Protocol& Simulation::protocol(NodeId id) {
   WSYNC_REQUIRE(id >= 0 && id < config_.n, "node id out of range");
   const auto ni = static_cast<size_t>(id);
-  WSYNC_REQUIRE(node_active_[ni] != 0, "node has no protocol before activation");
+  WSYNC_REQUIRE(node_active_[ni] != 0,
+                "node has no protocol before activation");
   settle_node(id);
   return *protocols_[ni];
 }
@@ -684,7 +546,8 @@ Protocol& Simulation::protocol(NodeId id) {
 const Protocol& Simulation::protocol(NodeId id) const {
   WSYNC_REQUIRE(id >= 0 && id < config_.n, "node id out of range");
   const auto ni = static_cast<size_t>(id);
-  WSYNC_REQUIRE(node_active_[ni] != 0, "node has no protocol before activation");
+  WSYNC_REQUIRE(node_active_[ni] != 0,
+                "node has no protocol before activation");
   settle_node(id);
   return *protocols_[ni];
 }
@@ -694,18 +557,9 @@ bool Simulation::all_synced() const {
   // Liveness is a claim about surviving nodes; an execution where every
   // activated node has crashed has no witness and must not count as synced.
   const int live = active_count_ - crashed_count_;
-  if (live == 0) return false;
-  if (sparse_) {
-    // has_number() is invariant across asleep rounds (sparse contract), so
-    // the counter maintained at visit/crash time is exact.
-    return synced_live_ == live;
-  }
-  for (int i = 0; i < config_.n; ++i) {
-    const auto ni = static_cast<size_t>(i);
-    if (node_active_[ni] == 0 || node_crashed_[ni] != 0) continue;
-    if (!node_last_output_[ni].has_number()) return false;
-  }
-  return true;
+  // has_number() is invariant across asleep rounds (sparse contract), so
+  // the counter maintained at visit/crash time is exact.
+  return live > 0 && synced_live_ == live;
 }
 
 void Simulation::crash(NodeId id) {
@@ -713,16 +567,14 @@ void Simulation::crash(NodeId id) {
   const auto ni = static_cast<size_t>(id);
   WSYNC_REQUIRE(node_active_[ni] != 0, "cannot crash a node before activation");
   if (node_crashed_[ni] != 0) return;
-  if (sparse_) {
-    // Freeze the protocol at the current round first, exactly where the
-    // dense engine stops driving it; any queued wake event is dropped
-    // lazily at collect time.
-    settle_node(id);
-    if (node_last_output_[ni].has_number()) --synced_live_;
-    if (node_sparse_[ni] == 0) {
-      always_awake_.erase(
-          std::lower_bound(always_awake_.begin(), always_awake_.end(), id));
-    }
+  // Freeze the protocol at the current round first, exactly where the
+  // dense engine stops driving it; any queued wake event is dropped lazily
+  // at collect time.
+  settle_node(id);
+  if (node_last_output_[ni].has_number()) --synced_live_;
+  if (sparse_ && node_sparse_[ni] == 0) {
+    always_awake_.erase(
+        std::lower_bound(always_awake_.begin(), always_awake_.end(), id));
   }
   node_crashed_[ni] = 1;
   ++crashed_count_;

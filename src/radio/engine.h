@@ -17,13 +17,17 @@
 //     channel absent for a particular node; a broadcast into an absent
 //     channel reaches nobody (and does not collide) and a listener on an
 //     absent channel hears nothing;
-//   * energy accounting (Bradonjić–Kohler–Ostrovsky): every node is charged
-//     exactly one of broadcast/listen/sleep per round into an EnergyLedger
-//     (inactive and crashed nodes sleep; a protocol may also return
-//     RoundAction::sleep() to power down for a round).
+//   * energy accounting (Bradonjić–Kohler–Ostrovsky): every node is
+//     charged exactly one of broadcast/listen/sleep per round into an
+//     EnergyLedger (inactive and crashed nodes sleep; a protocol may also
+//     return RoundAction::sleep() to power down for a round).
 //
-// Two interchangeable round loops execute this model (EngineMode):
-//   * dense — the reference loop, every node visited every round;
+// One round body executes this model (Simulation::step); the EngineMode
+// picks only its cohort, the nodes visited each round:
+//   * dense — every node, every round: the reference, which never touches
+//     the wake queue, Protocol::skip_rounds(), the lazy ledger close or
+//     fast-forwarding, and closes each round with the strict every-node
+//     ledger check;
 //   * sparse — a wake-event queue over SoA node state: only the round's
 //     awake cohort is visited, asleep spans are replayed in O(1) via
 //     Protocol::skip_rounds(), and fully-idle windows are fast-forwarded.
@@ -32,7 +36,8 @@
 //     degrade transparently to dense-equivalent behavior.
 // The two are required to be bit-identical on every execution — reports,
 // traces, ledger, observers (the equivalence contract in
-// docs/ARCHITECTURE.md, enforced by the differential test wall).
+// docs/ARCHITECTURE.md). The differential test wall checks exactly the
+// sparse-only machinery against the every-node cohort.
 //
 // Determinism: all randomness is derived from SimConfig::seed. Each node,
 // the adversary, and the activation schedule get independent forked streams,
@@ -88,8 +93,8 @@ struct RoundReport {
 /// Bucketed round → awake-set index driving the sparse engine: a ring of
 /// near-horizon buckets (one vector of node ids per upcoming round) plus an
 /// ordered spill map for events beyond the horizon. Duty-cycled schedules
-/// sleep O(lg N) rounds at a time — far below the horizon — so the spill map
-/// is effectively never touched.
+/// sleep O(lg N) rounds at a time — far below the horizon — so the spill
+/// map is effectively never touched.
 class WakeEventQueue {
  public:
   /// Enqueues node `id` for round `round`; `now` is the round currently in
@@ -267,13 +272,12 @@ class Simulation {
  private:
   void activate_pending(RoundId r);
   std::vector<Frequency> validated_disruption();
-  RoundReport step_dense();
-  RoundReport step_sparse();
   /// Replays node `id`'s pending asleep rounds up to the round in progress
-  /// (sparse engine only; no-op when already current, crashed or inactive).
+  /// (no-op when already current, crashed or inactive — always so under the
+  /// dense engine, which visits every node every round).
   void settle_node(NodeId id) const;
-  /// Builds this round's cohort (due wake events + always-visited nodes) in
-  /// ascending node-id order into cohort_.
+  /// Builds this round's sparse cohort (due wake events + always-visited
+  /// nodes) in ascending node-id order into cohort_.
   void build_cohort(RoundId r);
   /// Jumps over rounds in which provably nothing happens; leaves
   /// view_.round_ at the first round that needs execution (capped at
@@ -318,16 +322,20 @@ class Simulation {
   int64_t absences_total_ = 0;
   int64_t wake_events_popped_ = 0;
 
-  // Sparse-engine state (unused under kDense).
+  // Cohort state, shared by both engines.
   bool sparse_ = false;
-  std::vector<char> node_sparse_;      ///< protocol predicts wakes
   std::vector<RoundId> node_settled_;  ///< rounds applied to the protocol
+  int synced_live_ = 0;  ///< live nodes whose last output has a number
+  /// Nodes visited this round: every id under kDense (filled once), the
+  /// awake cohort under kSparse (rebuilt each round).
+  std::vector<NodeId> cohort_;
+
+  // Sparse-engine state (inert under kDense).
+  std::vector<char> node_sparse_;      ///< protocol predicts wakes
   std::vector<NodeId> always_awake_;   ///< sorted live unpredictable nodes
   WakeEventQueue wake_queue_;
-  int synced_live_ = 0;  ///< live nodes whose last output has a number
   RoundId fast_forwarded_rounds_ = 0;
   std::vector<NodeId> due_;     // scratch: events collected this round
-  std::vector<NodeId> cohort_;  // scratch: nodes visited this round
 
   EngineView view_;
   EnergyLedger energy_;

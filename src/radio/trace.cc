@@ -20,7 +20,9 @@ void MemoryTrace::on_delivery(const DeliveryTraceEvent& event) {
 }
 
 void MemoryTrace::on_synchronized(RoundId round, NodeId node, int64_t number) {
-  if (admit(sync_events_)) sync_events_.push_back(SyncEvent{round, node, number});
+  if (admit(sync_events_)) {
+    sync_events_.push_back(SyncEvent{round, node, number});
+  }
 }
 
 void MemoryTrace::on_crash(RoundId round, NodeId node) {

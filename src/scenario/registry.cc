@@ -387,8 +387,8 @@ Scenario energy_budget_trapdoor() {
   s.summary =
       "Trapdoor under a per-node awake-rounds cap (BKO radio-use axis)";
   s.rationale =
-      "Bradonjić–Kohler–Ostrovsky charge every round a node's radio is on. "
-      "The paper's protocols are always-on, so awake-rounds track "
+      "Bradonjić–Kohler–Ostrovsky charge every round a node's radio is "
+      "on. The paper's protocols are always-on, so awake-rounds track "
       "time-to-liveness; the budget pins that equivalence and catches any "
       "regression that silently inflates radio use.";
   ExperimentPoint point = base_point(ProtocolKind::kTrapdoor, 16, 4, 64, 8);

@@ -18,8 +18,12 @@ void validate_point(const Scenario& scenario, size_t index,
                     const ExperimentPoint& point) {
   const std::string where = "point " + std::to_string(index) + ": ";
   if (point.F < 1) fail(scenario, where + "need F >= 1");
-  if (point.t < 0 || point.t >= point.F) fail(scenario, where + "need 0 <= t < F");
-  if (point.n < 1 || point.N < point.n) fail(scenario, where + "need 1 <= n <= N");
+  if (point.t < 0 || point.t >= point.F) {
+    fail(scenario, where + "need 0 <= t < F");
+  }
+  if (point.n < 1 || point.N < point.n) {
+    fail(scenario, where + "need 1 <= n <= N");
+  }
   if (point.jam_count > point.t) {
     fail(scenario, where + "jam_count must not exceed t");
   }

@@ -141,13 +141,14 @@ std::string decode_chunk_line(const std::string& line, std::string* scenario,
     return kMalformed;
   }
   // A valid checksum proves the line intact, not sane: counts must be
-  // non-negative and every run either synced or timed out (checked by
-  // subtraction, which cannot overflow once both counts are non-negative).
+  // non-negative, every run either synced or timed out (checked by
+  // subtraction, which cannot overflow once both counts are non-negative),
+  // and each summary must cover exactly the runs aggregate_point feeds it.
   PointResult r;
-  bool negative = false;
+  bool implausible = false;
   for (const CountField& field : kCountFields) {
     if (!reader.next_int(&(r.*field.member))) return kMalformed;
-    negative = negative || r.*field.member < 0;
+    implausible = implausible || r.*field.member < 0;
   }
   if (!reader.next_double_bits(&r.max_broadcast_weight)) return kMalformed;
   for (const SummaryField& field : kSummaryFields) {
@@ -156,11 +157,12 @@ std::string decode_chunk_line(const std::string& line, std::string* scenario,
     if (!reader.next_int(&count) || !reader.next_summary_doubles(&summary)) {
       return kMalformed;
     }
-    negative = negative || count < 0;
+    implausible = implausible ||
+                  count != (field.synced_only ? r.synced_runs : r.runs);
     summary.count = static_cast<size_t>(count);
   }
   if (!reader.at_end()) return kMalformed;
-  if (negative || r.runs - r.synced_runs != r.timeout_runs) {
+  if (implausible || r.runs - r.synced_runs != r.timeout_runs) {
     return "implausible chunk counts";
   }
   *result = r;

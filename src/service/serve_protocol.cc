@@ -74,6 +74,17 @@ bool parse_engine_mode(const std::string& text, EngineMode* mode) {
   return true;
 }
 
+Scenario with_overrides(const Scenario& scenario, long max_rounds,
+                        EngineMode engine) {
+  if (max_rounds == 0 && engine == EngineMode::kAuto) return scenario;
+  Scenario overridden = scenario;
+  for (ExperimentPoint& point : overridden.grid) {
+    if (max_rounds != 0) point.max_rounds = max_rounds;
+    point.engine = engine;
+  }
+  return overridden;
+}
+
 std::optional<ServeJob> parse_job_line(const std::string& line) {
   std::istringstream in(line);
   std::vector<std::string> tokens;

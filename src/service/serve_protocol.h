@@ -21,6 +21,7 @@
 #include <string>
 
 #include "src/common/types.h"
+#include "src/scenario/scenario.h"
 
 namespace wsync {
 
@@ -48,6 +49,13 @@ std::optional<ServeJob> parse_job_line(const std::string& line);
 /// dense/sparse/auto. Shared by wsync_run and the serve protocol so the
 /// two CLIs cannot drift.
 bool parse_engine_mode(const std::string& text, EngineMode* mode);
+
+/// `scenario` with a max-rounds budget (0 = keep each point's own) and an
+/// engine (kAuto with budget 0 = return it unchanged) applied to every
+/// grid point: wsync_run's --max-rounds/--engine and the serve protocol's
+/// max_rounds=/engine= options.
+Scenario with_overrides(const Scenario& scenario, long max_rounds,
+                        EngineMode engine);
 
 }  // namespace wsync
 

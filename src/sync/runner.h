@@ -76,7 +76,8 @@ struct RunOutcome {
   // across the dense/sparse engines.
   int64_t rounds_simulated = 0;   ///< total rounds elapsed, incl. maintenance
   int64_t deliveries = 0;         ///< listener receptions, whole run
-  int64_t collisions = 0;         ///< freq-rounds with >= 2 reaching broadcasters
+  int64_t collisions = 0;         ///< freq-rounds with >= 2 reaching
+                                  ///< broadcasters
   int64_t absences = 0;           ///< choices voided by a whitespace mask
   int64_t knockouts = 0;          ///< live nodes ending the run knocked out
   // Engine-dependent metrics: reproducible per (spec, seed, engine); the

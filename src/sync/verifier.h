@@ -3,7 +3,8 @@
 //   1. Validity     — every output is ⊥ or a number (holds by construction
 //                     of SyncOutput; the verifier re-checks activation
 //                     coverage instead).
-//   2. Synch Commit — once a node outputs a number it never outputs ⊥ again.
+//   2. Synch Commit — once a node outputs a number it never outputs ⊥
+//                     again.
 //   3. Correctness  — if a node outputs i in round r, it outputs i+1 in r+1.
 //   4. Agreement    — all non-⊥ outputs in a round are equal (whp).
 //   5. Liveness     — eventually every active node stops outputting ⊥

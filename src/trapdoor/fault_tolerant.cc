@@ -65,7 +65,8 @@ SyncOutput FaultTolerantTrapdoor::output() const {
   return inner_->output();
 }
 
-ProtocolFactory FaultTolerantTrapdoor::factory(const FaultTolerantConfig& config) {
+ProtocolFactory FaultTolerantTrapdoor::factory(
+    const FaultTolerantConfig& config) {
   return [config](const ProtocolEnv& env) {
     return std::make_unique<FaultTolerantTrapdoor>(env, config);
   };

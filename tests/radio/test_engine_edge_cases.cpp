@@ -292,5 +292,31 @@ TEST(EngineEdgeTest, FastForwardSkipsIdleGapsAndStaysBitIdentical) {
   pair.expect_same_state();
 }
 
+TEST(EngineEdgeTest, DenseNeverFastForwardsWhenEveryNodeHasCrashed) {
+  // With every node crashed, nothing is awake or pending, so the sparse
+  // engine may jump straight to the budget. The dense engine visits every
+  // node every round regardless; it must walk the same rounds and never
+  // touch the sparse machinery.
+  EnginePair pair = SimBuilder(4, 0, 4)
+                        .N(8)
+                        .seed(0xDEAD)
+                        .protocol(TrapdoorProtocol::factory())
+                        .pair();
+  for (int i = 0; i < 100000 && !pair.dense->all_synced(); ++i) pair.step();
+  ASSERT_TRUE(pair.dense->all_synced());
+  ASSERT_TRUE(pair.sparse->all_synced());
+  ASSERT_LT(pair.dense->round(), 5000);
+  for (NodeId id = 0; id < 4; ++id) {
+    pair.dense->crash(id);
+    pair.sparse->crash(id);
+  }
+  EXPECT_EQ(pair.dense->run_until_synced(5000).rounds, 5000);
+  EXPECT_EQ(pair.sparse->run_until_synced(5000).rounds, 5000);
+  EXPECT_EQ(pair.dense->fast_forwarded_rounds(), 0);
+  EXPECT_EQ(pair.dense->wake_events_popped(), 0);
+  EXPECT_GT(pair.sparse->fast_forwarded_rounds(), 0);
+  pair.expect_same_state();
+}
+
 }  // namespace
 }  // namespace wsync

@@ -20,7 +20,9 @@ namespace wsync {
 namespace {
 
 /// A PointResult with every kCountFields row set to a distinct nonzero
-/// value, distinct Summary rows, and awkward doubles in the summaries.
+/// value, distinct Summary rows, and awkward doubles in the summaries. It
+/// is plausible, as aggregate_point would produce it: the synced-only
+/// summaries count synced_runs, the rest count runs.
 PointResult fancy_result() {
   PointResult r;
   r.runs = 12;
@@ -46,39 +48,40 @@ PointResult fancy_result() {
   r.fast_forwarded_rounds = 2100;
   r.max_broadcast_weight = 1.0 / 3.0;
   r.rounds_to_live = {11, 1.5, 0.25, -0.0, 1e300, 2.5, 3.5, 4.5};
-  r.max_node_latency = {10, std::numeric_limits<double>::infinity(),
+  r.max_node_latency = {11, std::numeric_limits<double>::infinity(),
                         std::numeric_limits<double>::quiet_NaN(),
                         std::numeric_limits<double>::denorm_min(),
                         -std::numeric_limits<double>::infinity(), 0.1, 0.2,
                         0.3};
   r.max_awake_rounds = {12, 5.0, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0};
-  r.mean_awake_rounds = {9, 4.5, 0.5, 4.0, 5.0, 4.5, 5.0, 5.0};
-  r.awake_fraction = {8, 0.25, 0.0, 0.25, 0.25, 0.25, 0.25, 0.25};
-  r.max_offset = {7, 2.5, 0.5, 1.0, 4.0, 2.0, 3.0, 4.0};
+  r.mean_awake_rounds = {12, 4.5, 0.5, 4.0, 5.0, 4.5, 5.0, 5.0};
+  r.awake_fraction = {12, 0.25, 0.0, 0.25, 0.25, 0.25, 0.25, 0.25};
+  r.max_offset = {12, 2.5, 0.5, 1.0, 4.0, 2.0, 3.0, 4.0};
   return r;
 }
 
 /// encode_chunk_line("fancy_scenario", 17, fancy_result()) in the v3
-/// layout, captured from the field-by-field encoder the tables replaced:
-/// reordering or miswiring a table row changes these bytes.
+/// layout, captured from the encoder before the decoder began checking
+/// summary counts: reordering or miswiring a table row changes these
+/// bytes.
 constexpr char kFancyV3Line[] =
     "chunk fancy_scenario 17 12 11 1 2 3 4 5 6 7 700 800 900 13 14 "
     "1500 1600 1700 1800 1900 2000 2100 3fd5555555555555 11 "
     "3ff8000000000000 3fd0000000000000 8000000000000000 "
     "7e37e43c8800759c 4004000000000000 400c000000000000 "
-    "4012000000000000 10 7ff0000000000000 7ff8000000000000 "
+    "4012000000000000 11 7ff0000000000000 7ff8000000000000 "
     "0000000000000001 fff0000000000000 3fb999999999999a "
     "3fc999999999999a 3fd3333333333333 12 4014000000000000 "
     "0000000000000000 4014000000000000 4014000000000000 "
-    "4014000000000000 4014000000000000 4014000000000000 9 "
+    "4014000000000000 4014000000000000 4014000000000000 12 "
     "4012000000000000 3fe0000000000000 4010000000000000 "
     "4014000000000000 4012000000000000 4014000000000000 "
-    "4014000000000000 8 3fd0000000000000 0000000000000000 "
+    "4014000000000000 12 3fd0000000000000 0000000000000000 "
     "3fd0000000000000 3fd0000000000000 3fd0000000000000 "
-    "3fd0000000000000 3fd0000000000000 7 4004000000000000 "
+    "3fd0000000000000 3fd0000000000000 12 4004000000000000 "
     "3fe0000000000000 3ff0000000000000 4010000000000000 "
     "4000000000000000 4008000000000000 4010000000000000 "
-    "#b8df51447f0a9343";
+    "#d517b41e1fb99ee9";
 
 /// `payload` (a chunk line without its checksum) with a valid checksum
 /// appended: what a hostile or buggy writer could produce.
@@ -170,6 +173,19 @@ TEST(CheckpointCodec, ImplausibleCountsAreRejectedEvenWithValidChecksum) {
                                 &scenario, &point_index, &decoded),
               "implausible chunk counts")
         << "summary row " << i;
+  }
+  // A summary must count exactly the runs it summarizes: synced_runs (11)
+  // for the synced-only rows, runs (12) for the rest; the other run count
+  // is rejected too.
+  for (size_t i = 0; i < kSummaryFields.size(); ++i) {
+    const char* other = kSummaryFields[i].synced_only ? "12" : "11";
+    for (const char* value : {"3", other}) {
+      EXPECT_EQ(decode_chunk_line(fancy_line_with(kFirstSummaryToken + 8 * i,
+                                                  value),
+                                  &scenario, &point_index, &decoded),
+                "implausible chunk counts")
+          << "summary row " << i << " = " << value;
+    }
   }
   // runs must equal synced_runs + timeout_runs (12 = 11 + 1 in the fancy
   // result); each of the three edited alone breaks the identity, also at

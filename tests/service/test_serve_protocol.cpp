@@ -88,5 +88,31 @@ TEST(ServeProtocolTest, EngineModeParserCoversEveryEnumerator) {
   EXPECT_FALSE(parse_engine_mode("", &mode));
 }
 
+TEST(ServeProtocolTest, WithOverridesReachesEveryGridPoint) {
+  Scenario scenario;
+  scenario.name = "two_points";
+  scenario.grid.resize(2);
+  scenario.grid[0].max_rounds = 100;
+  scenario.grid[1].max_rounds = 200;
+  scenario.grid[1].engine = EngineMode::kSparse;
+
+  // No budget and kAuto: the scenario comes back unchanged.
+  const Scenario same = with_overrides(scenario, 0, EngineMode::kAuto);
+  ASSERT_EQ(same.grid.size(), 2u);
+  EXPECT_EQ(same.grid[0].max_rounds, 100);
+  EXPECT_EQ(same.grid[0].engine, EngineMode::kAuto);
+  EXPECT_EQ(same.grid[1].max_rounds, 200);
+  EXPECT_EQ(same.grid[1].engine, EngineMode::kSparse);
+
+  // A set budget and engine land on every point.
+  const Scenario forced = with_overrides(scenario, 7, EngineMode::kDense);
+  ASSERT_EQ(forced.grid.size(), 2u);
+  for (const ExperimentPoint& point : forced.grid) {
+    EXPECT_EQ(point.max_rounds, 7);
+    EXPECT_EQ(point.engine, EngineMode::kDense);
+  }
+  EXPECT_EQ(forced.name, "two_points");
+}
+
 }  // namespace
 }  // namespace wsync

@@ -397,24 +397,6 @@ int list_catalog(const Options& options) {
   return 0;
 }
 
-/// The scenario with any --max-rounds and --engine overrides applied to
-/// every point.
-Scenario with_round_budget(const Scenario& scenario,
-                           const Options& options) {
-  long rounds = options.default_max_rounds;
-  if (const auto it = options.max_rounds_overrides.find(scenario.name);
-      it != options.max_rounds_overrides.end()) {
-    rounds = it->second;
-  }
-  if (rounds == 0 && options.engine == EngineMode::kAuto) return scenario;
-  Scenario overridden = scenario;
-  for (ExperimentPoint& point : overridden.grid) {
-    if (rounds != 0) point.max_rounds = rounds;
-    point.engine = options.engine;
-  }
-  return overridden;
-}
-
 /// Streams the CLI's per-scenario stdout report and feeds the export
 /// writers, all in catalog order as the sweep service merges chunks.
 class CliSink : public ChunkSink {
@@ -486,7 +468,11 @@ int run_scenarios(const Options& options) {
   std::vector<Scenario> overridden;
   overridden.reserve(selected.size());
   for (const Scenario* scenario : selected) {
-    overridden.push_back(with_round_budget(*scenario, options));
+    const auto it = options.max_rounds_overrides.find(scenario->name);
+    const long rounds = it != options.max_rounds_overrides.end()
+                            ? it->second
+                            : options.default_max_rounds;
+    overridden.push_back(with_overrides(*scenario, rounds, options.engine));
   }
   std::vector<const Scenario*> planned;
   planned.reserve(overridden.size());

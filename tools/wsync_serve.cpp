@@ -180,20 +180,6 @@ bool parse_args(int argc, char** argv, Options* options) {
   return true;
 }
 
-/// The scenario with a job's max_rounds/engine overrides applied to every
-/// point (mirrors wsync_run's --max-rounds/--engine semantics).
-Scenario with_overrides(const Scenario& scenario, const ServeJob& job) {
-  if (job.max_rounds == 0 && job.engine == EngineMode::kAuto) {
-    return scenario;
-  }
-  Scenario overridden = scenario;
-  for (ExperimentPoint& point : overridden.grid) {
-    if (job.max_rounds != 0) point.max_rounds = job.max_rounds;
-    point.engine = job.engine;
-  }
-  return overridden;
-}
-
 /// Streams the protocol's begin/point/fail/end lines and feeds the export
 /// writers. Every line is flushed so a pipe-connected driver sees progress
 /// the moment a chunk merges.
@@ -331,10 +317,12 @@ int serve(const Options& options, std::istream& jobs) {
                      job->name.c_str());
         return 2;
       }
-      overridden.push_back(with_overrides(*scenario, *job));
+      overridden.push_back(
+          with_overrides(*scenario, job->max_rounds, job->engine));
     } else {
       for (const Scenario& scenario : ScenarioRegistry::all()) {
-        overridden.push_back(with_overrides(scenario, *job));
+        overridden.push_back(
+            with_overrides(scenario, job->max_rounds, job->engine));
       }
     }
     std::vector<const Scenario*> planned;
