@@ -1,5 +1,5 @@
 // The sanctioned wall-clock site for timing: telemetry timing metrics and
-// bench self-timing (bench/bench_util.h's time_ms) both read it.
+// bench self-timing (bench/engine_scale) both read it.
 //
 // wsync_lint bans wall-clock reads everywhere except the service deadline
 // (src/service/deadline.h) and this header, because a clock read that

@@ -7,115 +7,82 @@
 // techniques can be applied to modify our protocols to work in a setting
 // without synchronized round boundaries."
 //
-// This module implements that transformation and demonstrates it on the
-// paper's protocols. Physical time is divided into TICKS; each node's
-// logical round spans `ticks_per_slot` consecutive ticks, starting at a
-// per-node phase offset chosen at activation. A broadcaster retransmits its
-// message in every tick of its logical round; a listener receives the first
-// message from any tick of its logical round during which exactly one node
-// transmitted on its frequency and the adversary did not disrupt it. With
-// ticks_per_slot = 2 this is the classical doubling transform: any two
-// overlapping logical rounds share at least one full tick, so the slotted
-// analysis carries over at a 2x cost.
+// The transform is node-local, so it is a Protocol adapter over the one
+// Section-2 engine rather than an engine of its own: each Simulation round
+// is one physical TICK, and each node's logical round spans
+// `ticks_per_slot` (T) consecutive ticks starting at a per-node phase in
+// [0, T). UnslottedNode asks the unchanged slotted protocol for one action
+// per logical round and holds it for all T ticks — a broadcaster
+// retransmits in every tick, a listener keeps listening and keeps the first
+// clean reception of the round. With T = 2 this is the classical doubling
+// transform: any two overlapping logical rounds share at least one full
+// tick, so the slotted analysis carries over at a 2x cost. With T = 1 the
+// adapter is transparent (bit-identical to the slotted run).
 //
-// Unchanged Protocol implementations (Trapdoor, Good Samaritan, ...) run on
-// top of this engine; only the notion of "round" differs. Outputs of
-// phase-shifted nodes can legitimately differ by one (their round
-// boundaries interleave), so the agreement property becomes "all non-bottom
-// outputs within any tick differ by at most one" — checked by
-// UnslottedSimulation::output_spread().
+// Everything else — disruption, whitespace masks, sleep and the energy
+// ledger, crashes, drift, tracing, the dense/sparse cohort — is the engine's.
+// Outputs of phase-shifted nodes can legitimately differ by one (their
+// round boundaries interleave), so the agreement property becomes "all
+// non-bottom outputs after any tick differ by at most one" — checked with
+// Simulation::run_maintenance(horizon, /*offset_bound=*/1).
 #ifndef WSYNC_UNSLOTTED_UNSLOTTED_H_
 #define WSYNC_UNSLOTTED_UNSLOTTED_H_
 
 #include <memory>
 #include <optional>
-#include <vector>
 
-#include "src/adversary/adversary.h"
-#include "src/common/rng.h"
-#include "src/common/types.h"
 #include "src/protocol/protocol.h"
 #include "src/radio/activation.h"
-#include "src/radio/engine_view.h"
 
 namespace wsync {
 
-struct UnslottedConfig {
-  int F = 1;
-  int t = 0;          ///< adversary budget PER TICK
-  int64_t N = 1;
-  int n = 1;
-  uint64_t seed = 1;
-  int ticks_per_slot = 2;  ///< transmission repetition factor (>= 1)
-};
-
-class UnslottedSimulation {
+/// Runs one slotted protocol instance on the tick-level clock.
+class UnslottedNode final : public Protocol {
  public:
-  /// `activation` is interpreted in slot units (slot s = ticks
-  /// [s*T, (s+1)*T)); each woken node draws a phase offset in [0, T).
-  UnslottedSimulation(const UnslottedConfig& config, ProtocolFactory factory,
-                      std::unique_ptr<Adversary> adversary,
-                      std::unique_ptr<ActivationSchedule> activation);
+  UnslottedNode(std::unique_ptr<Protocol> inner, int ticks_per_slot,
+                int phase);
 
-  /// Executes one physical tick.
-  void tick();
+  void on_activate(Rng& rng) override { inner_->on_activate(rng); }
+  /// Sleeps until the phase tick, then returns the logical round's action
+  /// (asked of the inner protocol on the round's first tick) every tick.
+  RoundAction act(Rng& rng) override;
+  /// Keeps the round's first reception; closes the inner round on its last
+  /// tick.
+  void on_round_end(const std::optional<Message>& received,
+                    Rng& rng) override;
+  SyncOutput output() const override { return inner_->output(); }
+  Role role() const override { return inner_->role(); }
+  /// The inner protocol's probability on round-opening ticks, 0 otherwise
+  /// (a held action is not a fresh draw).
+  double broadcast_probability() const override;
+  int64_t resync_corrections() const override {
+    return inner_->resync_corrections();
+  }
 
-  struct RunResult {
-    bool synced = false;
-    int64_t ticks = 0;
-  };
-  /// Runs until every node has been activated and outputs a number, or the
-  /// tick budget is exhausted.
-  RunResult run_until_synced(int64_t max_ticks);
-
-  int64_t ticks() const { return now_; }
-  bool all_synced() const;
-  bool is_active(NodeId id) const;
-  SyncOutput output(NodeId id) const;
-  Role role(NodeId id) const;
-  int phase(NodeId id) const;  ///< the node's tick offset in [0, T)
-  /// Max difference between non-bottom outputs right now (0 or 1 in a
-  /// correct execution; -1 if fewer than two nodes output).
-  int64_t output_spread() const;
+  /// The node's tick offset in [0, T).
+  int phase() const { return phase_; }
 
  private:
-  struct NodeSlot {
-    std::unique_ptr<Protocol> protocol;
-    Rng rng{0};
-    bool active = false;
-    int phase = 0;             ///< tick offset of this node's round grid
-    int64_t round_start = -1;  ///< tick at which the current round began
-    // Current round's action, held for the whole round:
-    Frequency freq = kNoFrequency;
-    bool broadcasting = false;
-    Payload payload;
-    std::optional<Message> received;  ///< first clean reception this round
-    SyncOutput last_output;
-  };
+  /// Tick index within the current logical round, or -1 before the phase.
+  int tick_in_round() const;
 
-  void begin_round(NodeId id, NodeSlot& slot);
-  void end_round(NodeSlot& slot);
-
-  UnslottedConfig config_;
-  ProtocolFactory factory_;
-  std::unique_ptr<Adversary> adversary_;
-  std::unique_ptr<ActivationSchedule> activation_;
-
-  Rng adversary_rng_{0};
-  Rng activation_rng_{0};
-  Rng uid_rng_{0};
-  Rng phase_rng_{0};
-
-  std::vector<NodeSlot> nodes_;
-  int activated_total_ = 0;
-  int64_t now_ = 0;
-  EngineView view_;  ///< per-tick history for the adversary
-
-  // per-tick scratch
-  std::vector<int> transmitters_;
-  std::vector<NodeId> sole_transmitter_;
-  std::vector<char> disrupted_flag_;
+  std::unique_ptr<Protocol> inner_;
+  int ticks_per_slot_;
+  int phase_;
+  int64_t age_ = 0;  ///< ticks since activation
+  RoundAction held_ = RoundAction::sleep();
+  std::optional<Message> received_;
 };
+
+/// Wraps every node of `inner` in an UnslottedNode with phase
+/// env.uid % ticks_per_slot: the uid is the engine's random per-node id, so
+/// phases are i.i.d. uniform without a stream of their own.
+ProtocolFactory unslotted_factory(ProtocolFactory inner, int ticks_per_slot);
+
+/// Reads `schedule` in slot units: the nodes it wakes in slot s wake at
+/// tick s * ticks_per_slot.
+std::unique_ptr<ActivationSchedule> unslotted_activation(
+    std::unique_ptr<ActivationSchedule> schedule, int ticks_per_slot);
 
 }  // namespace wsync
 

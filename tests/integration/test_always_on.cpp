@@ -2,8 +2,9 @@
 // baselines: none of them ever emits RoundAction::sleep(), so for every
 // node awake-rounds ≡ rounds-since-activation (their radio-use cost IS
 // their round count — the always-on premise every energy comparison in the
-// repo leans on). The unslotted transform runs these same Protocol
-// instances on its tick engine, so the pin covers it too.
+// repo leans on). The unslotted transform (src/unslotted) wraps these same
+// Protocol instances in a per-node adapter on this same engine; its only
+// added sleeps are the < T ticks before a node's phase tick.
 //
 // The duty-cycled subsystem is the deliberate exception, asserted in the
 // opposite direction: its nodes MUST sleep.

@@ -339,7 +339,7 @@ TEST(ParallelRunnerTest, BitIdenticalToSerialAcrossWorkerCounts) {
   ThreadPool serial_pool(1);
   const std::vector<std::string> serial =
       encoded(scenario, run_scenario(scenario, /*seeds=*/8, serial_pool));
-  for (const int workers : {2, 4, ThreadPool::default_workers()}) {
+  for (const int workers : {2, 4, 8, ThreadPool::default_workers()}) {
     ThreadPool pool(workers);
     EXPECT_EQ(encoded(scenario, run_scenario(scenario, /*seeds=*/8, pool)),
               serial)
